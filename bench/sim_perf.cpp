@@ -1,7 +1,7 @@
 // Simulator self-throughput experiment (ISSUE 6): how fast does the *host*
 // chew through simulated instructions, and where does the time go?
 //
-// Two workload shapes across all four platform presets:
+// Three workload shapes across all four platform presets:
 //   * MP producer/consumer — the paper's message-passing kernel on the two
 //     most distant cores (cross-node on the server preset): store bursts,
 //     dmb.st publishes, a polling consumer. Exercises store-buffer drain,
@@ -10,6 +10,10 @@
 //     exchanges behind dmb.full. Ownership transfers serialize, so this is
 //     the coherence-dominated extreme (and the many-core stress on the
 //     64-core kunpeng916 preset).
+//   * fresh machines — a short single-core run, each on a newly built
+//     64 MiB Machine, timed whole (construct, load, run, destroy) against
+//     its Machine::run alone. Every figure point builds its own machine,
+//     so the ratio is the fixed cost a sweep pays per point.
 //
 // Timing is host wall-clock around Machine::run — nothing here goes
 // through ctx.cached(): host time must never enter a cached value, and the
@@ -53,6 +57,11 @@ constexpr Addr kSharedAddr = 0x3000;
 /// dispatch or the event-driven scheduler fails the experiment itself, not
 /// just the cross-report trend gate.
 constexpr double kMinIpsVsNull = 8e-3;
+
+/// Gate ceiling for <preset>_fresh_overhead (a fresh 64 MiB machine's whole
+/// life over its run alone). Lazily backed memory keeps it under 1.5x on
+/// every preset; backing the whole span up front costs about 1000x.
+constexpr double kMaxFreshOverhead = 4.0;
 
 /// MP producer: K publish rounds of data-store / dmb.st / flag-store.
 sim::Program mp_producer(std::uint32_t k) {
@@ -113,14 +122,18 @@ struct Measured {
   }
 };
 
+std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 Measured time_run(sim::Machine& m) {
   Measured r;
   const auto t0 = std::chrono::steady_clock::now();
   const sim::RunResult res = m.run(sim::RunConfig{});
-  r.host_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+  r.host_ns = ns_since(t0);
   r.completed = res.completed;
   for (const sim::CoreStats& s : res.cores) r.instructions += s.instructions;
   return r;
@@ -173,7 +186,9 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
   prof::Session session;
 
   constexpr std::uint32_t kMpRounds = 4000;
+  constexpr std::uint32_t kFreshRounds = 100;
   ctx.param("mp_rounds", std::to_string(kMpRounds));
+  ctx.param("fresh_rounds", std::to_string(kFreshRounds));
   ctx.param("profiling",
             prof::compiled_in() ? "enabled" : "compiled out (ARMBAR_PROF_DISABLED)");
 
@@ -191,10 +206,7 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
       ARMBAR_PROF_SCOPE(kBenchNullLoop);
       null_sink += null_loop_pass(null_prog.code, kNullPasses);
     }
-    const std::uint64_t ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    const std::uint64_t ns = ns_since(t0);
     const double ops = static_cast<double>(kNullPasses) *
                        static_cast<double>(null_prog.code.size());
     if (ns > 0 && ops * 1e9 / static_cast<double>(ns) > null_ops_per_sec)
@@ -211,6 +223,9 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
             "M instr/s"});
   std::uint64_t total_instrs = 0;
   std::uint64_t total_ns = 0;
+  const sim::ProgramHandle fresh_prog =
+      sim::decode_program(mp_producer(kFreshRounds));
+  double worst_fresh = 0.0;
   for (const sim::PlatformSpec& spec : sim::all_platforms()) {
     // MP on the two most distant cores: cross-node on kunpeng916.
     // Best-of-5: long enough to average cache effects, but a CI-host
@@ -266,6 +281,38 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
            TextTable::num(static_cast<double>(deep.host_ns) / 1e6, 1),
            TextTable::num(deep.ips() / 1e6, 2)});
 
+    // Fresh machines: each figure point builds its own 64 MiB Machine for
+    // one short run. Time that machine's whole life against the run alone,
+    // best-of-N for both as above; the ratio is the per-point fixed cost.
+    constexpr int kFreshReps = 16;
+    Measured fresh;
+    std::uint64_t fresh_life_ns = 0;
+    for (int rep = 0; rep < kFreshReps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      Measured r;
+      {
+        sim::Machine m(spec, 64u << 20);
+        m.load_program(0, fresh_prog);
+        r = time_run(m);
+      }
+      const std::uint64_t life_ns = ns_since(t0);
+      if (rep == 0 || r.host_ns < fresh.host_ns) fresh = r;
+      if (rep == 0 || life_ns < fresh_life_ns) fresh_life_ns = life_ns;
+    }
+    const double fresh_overhead =
+        fresh.host_ns == 0 ? 0.0
+                           : static_cast<double>(fresh_life_ns) /
+                                 static_cast<double>(fresh.host_ns);
+    ctx.check(fresh.completed, "fresh-machine run completed on " + spec.name);
+    ctx.metric(spec.name + "_fresh_overhead", fresh_overhead);
+    worst_fresh = std::max(worst_fresh, fresh_overhead);
+    t.row({spec.name, TextTable::num(spec.total_cores(), 0), "fresh 64 MiB",
+           TextTable::num(static_cast<double>(fresh.instructions), 0),
+           TextTable::num(static_cast<double>(fresh_life_ns) / 1e6, 3),
+           TextTable::num(static_cast<double>(fresh.instructions) * 1e3 /
+                              static_cast<double>(fresh_life_ns),
+                          2)});
+
     total_instrs += mp.instructions + deep.instructions;
     total_ns += mp.host_ns + deep.host_ns;
   }
@@ -283,9 +330,15 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
             "self-relative throughput ips_vs_null >= " +
                 std::to_string(kMinIpsVsNull) + " (measured " +
                 std::to_string(ips_vs_null) + ")");
+  ctx.check(worst_fresh <= kMaxFreshOverhead,
+            "fresh 64 MiB machine's whole life <= " +
+                TextTable::num(kMaxFreshOverhead, 0) +
+                "x its run on every preset (worst " +
+                TextTable::num(worst_fresh, 2) + "x)");
 
   t.note("ips_vs_null = sim instr/s over the in-process null-interpreter");
   t.note("ops/s; host CPU speed cancels, so the CI gate on it is");
   t.note("machine-independent (tools/armbar-perf diffs two reports)");
+  t.note("fresh_overhead = a fresh 64 MiB machine's whole life over its run");
   t.print();
 }

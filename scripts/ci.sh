@@ -18,6 +18,9 @@
 #     the fresh report against the committed baseline, and a second
 #     armbar-perf pass gates every per-preset throughput at >= 3x the
 #     frozen PR-6 (pre-fast-path) report;
+#   * the fresh-machine gate from the same sim_perf report: a fresh 64 MiB
+#     machine's whole life (construct, load, run, destroy) must stay within
+#     4x its run on every preset;
 #   * a bit-identity gate: all 18 figure/table experiments' points digests
 #     must match the pinned baseline exactly;
 #   * a --profile smoke: the profiled report validates and carries
@@ -32,7 +35,8 @@
 #   * a fault-injected consolidated run (--fault-seed) whose report must
 #     still validate, carry per-experiment status params and an (empty)
 #     quarantine array;
-#   * a bounded differential-fuzz smoke (armbar-fuzz, fixed seeds) that
+#   * a bounded differential-fuzz smoke (armbar-fuzz, fixed seeds, plus
+#     seeds 351 and 437, which once deadlocked a halted core) that
 #     must find zero model/simulator mismatches and emit a valid
 #     armbar.bench.report/v1 with campaign/model throughput metrics,
 #     followed by a planted-bug stage: a dropped-fence mutation must be
@@ -130,13 +134,18 @@ assert doc["ok"], "sim_perf experiment failed"
 hp = doc.get("host_prof")
 assert hp and hp.get("phases"), "sim_perf report missing host_prof phases"
 m = doc["metrics"]
-for preset in ("rpi4", "kirin960", "kirin970", "kunpeng916"):
+presets = ("rpi4", "kirin960", "kirin970", "kunpeng916")
+for preset in presets:
     assert m.get(f"{preset}_mp_ips", 0) > 0, f"missing {preset}_mp_ips"
     assert m.get(f"{preset}_deep_ips", 0) > 0, f"missing {preset}_deep_ips"
+    fresh = m.get(f"{preset}_fresh_overhead", 0)
+    assert 0 < fresh <= 4.0, f"{preset}_fresh_overhead {fresh:.2f} not in (0, 4]"
 assert m["ips_vs_null"] >= 8e-3, \
     f"ips_vs_null {m['ips_vs_null']:.4f} below the fast-path floor 0.008"
+worst = max(m[f"{p}_fresh_overhead"] for p in presets)
 print(f"sim_perf OK ({m['sim_ips'] / 1e6:.2f} M sim instr/s, "
-      f"ips_vs_null {m['ips_vs_null']:.4f})")
+      f"ips_vs_null {m['ips_vs_null']:.4f}, "
+      f"fresh 64 MiB machine <= {worst:.2f}x its run)")
 EOF
 
 echo "== perf trend gate (armbar-perf vs committed baseline) =="
@@ -258,6 +267,12 @@ rm -rf "$FUZZ_DIR" && mkdir -p "$FUZZ_DIR"
 "$BUILD/tools/armbar-fuzz" --seed-start 1 --seed-count 48 --chaos-seeds 2 \
     --jobs "$(nproc)" --out-dir "$FUZZ_DIR" \
     --json "$FUZZ_DIR/armbar-fuzz.report.json"
+# Seeds 351 and 437 once aborted the process: a halted core lost the wake
+# for a store whose gating branch committed in HALT's own step.
+for SEED in 351 437; do
+    "$BUILD/tools/armbar-fuzz" --seed-start "$SEED" --seed-count 1 \
+        --jobs 1 --out-dir "$FUZZ_DIR" > /dev/null
+done
 if compgen -G "$FUZZ_DIR/*.repro.json" > /dev/null; then
     echo "FAIL: clean fuzz smoke produced repro bundles"
     exit 1

@@ -711,7 +711,13 @@ void Core::step(Cycle now) {
   issue(now);
 
   if (halted_) {
-    finish(kNeverCycle);
+    // HALT issues only once no branch is pending, so resolve_branches above
+    // may have committed, in this very step, the branch gating a buffered
+    // store the pump had already passed over. That store is startable now,
+    // yet no SB event reports it (its value_ready/drain_at are behind us),
+    // so poll once more while anything is buffered; from then on the halted
+    // branch at the top wakes on the event horizon alone.
+    finish(sb_.empty() ? kNeverCycle : now + 1);
   } else if (parked_) {
     finish(park_wake_);
   } else if (stall_until_ > now) {

@@ -92,15 +92,6 @@ class Machine {
   /// cores and machines; the handle is immutable and lifetime-safe.
   void load_program(CoreId c, ProgramHandle prog);
 
-  /// Transitional shim for the pre-ISSUE-7 pointer spelling: copies the
-  /// pointee (the old API required the caller to keep `*prog` alive for the
-  /// machine's lifetime — the footgun the handle API removes). One release
-  /// only.
-  [[deprecated("pass Program by value or a ProgramHandle")]]
-  void load_program(CoreId c, const Program* prog) {
-    load_program(c, Program(*prog));
-  }
-
   /// Switch the whole machine to TSO (total-store-order) memory ordering.
   /// Used by the litmus harness to contrast WMM and TSO (paper Table 1).
   void set_tso(bool tso);

@@ -8,10 +8,12 @@
 
 namespace armbar::sim {
 
+const MemorySystem::Page MemorySystem::kUntouchedPage{};
+
 MemorySystem::MemorySystem(const PlatformSpec& spec, std::size_t mem_bytes)
     : spec_(spec),
-      words_(mem_bytes / kWordBytes, 0),
-      lines_(mem_bytes / kCacheLineBytes),
+      span_bytes_(mem_bytes),
+      pages_((mem_bytes + kPageBytes - 1) / kPageBytes),
       home_((mem_bytes + kHomeGranule - 1) / kHomeGranule, 0) {
   ARMBAR_CHECK(spec.total_cores() <= kMaxCores);
   ARMBAR_CHECK(mem_bytes % kCacheLineBytes == 0);
@@ -29,50 +31,60 @@ NodeId MemorySystem::home_of(Addr a) const {
   return g < home_.size() ? home_[g] : 0;
 }
 
-std::size_t MemorySystem::word_index(Addr a) const {
+const MemorySystem::Page& MemorySystem::page(Addr a) const {
+  ARMBAR_CHECK_MSG(a < span_bytes_, "address out of simulated memory");
+  const Page* pg = pages_[a / kPageBytes].get();
+  return pg != nullptr ? *pg : kUntouchedPage;
+}
+
+MemorySystem::Page& MemorySystem::page_mut(Addr a) {
+  ARMBAR_CHECK_MSG(a < span_bytes_, "address out of simulated memory");
+  std::unique_ptr<Page>& pg = pages_[a / kPageBytes];
+  if (pg == nullptr) {
+    pg = std::make_unique<Page>();
+    ++resident_pages_;
+  }
+  return *pg;
+}
+
+std::size_t MemorySystem::word_slot(Addr a) {
   ARMBAR_CHECK_MSG(a % kWordBytes == 0, "unaligned 8-byte access");
-  const std::size_t idx = a / kWordBytes;
-  ARMBAR_CHECK_MSG(idx < words_.size(), "address out of simulated memory");
-  return idx;
+  return a % kPageBytes / kWordBytes;
 }
 
-std::size_t MemorySystem::line_index(Addr a) const {
-  const std::size_t idx = a / kCacheLineBytes;
-  ARMBAR_CHECK_MSG(idx < lines_.size(), "address out of simulated memory");
-  return idx;
-}
-
-void MemorySystem::apply_pending(LineState& ls) {
+void MemorySystem::apply_pending(Page& pg, LineState& ls) {
   if (!ls.pending) return;
-  words_[word_index(ls.pending_word)] = ls.pending_value;
+  pg.words[word_slot(ls.pending_word)] = ls.pending_value;
   ls.owner = ls.pending_owner;
   ls.sharers = ls.pending_keep_sharers;
   ls.pending = false;
 }
 
 std::uint64_t MemorySystem::peek(Addr a) const {
-  const LineState& ls = lines_[line_index(a)];
+  const Page& pg = page(a);
+  const LineState& ls = pg.lines[line_slot(a)];
   if (ls.pending && word_of(ls.pending_word) == word_of(a)) return ls.pending_value;
-  return words_[word_index(a)];
+  return pg.words[word_slot(a)];
 }
 
 void MemorySystem::poke(Addr a, std::uint64_t v) {
-  LineState& ls = line_mut(a);
+  Page& pg = page_mut(a);
+  LineState& ls = pg.lines[line_slot(a)];
   if (ls.pending && word_of(ls.pending_word) == word_of(a)) ls.pending = false;
-  words_[word_index(a)] = v;
+  pg.words[word_slot(a)] = v;
 }
 
 bool MemorySystem::load_hits(CoreId core, Addr a) const {
-  const LineState& ls = lines_[line_index(a)];
+  const LineState& ls = line_state(a);
   return ls.owner == static_cast<std::int16_t>(core) || (ls.sharers >> core) & 1;
 }
 
 bool MemorySystem::owns(CoreId core, Addr a) const {
-  return lines_[line_index(a)].owner == static_cast<std::int16_t>(core);
+  return line_state(a).owner == static_cast<std::int16_t>(core);
 }
 
 bool MemorySystem::any_remote_holder(CoreId core, Addr a) const {
-  const LineState& ls = lines_[line_index(a)];
+  const LineState& ls = line_state(a);
   if (ls.owner != kNoOwner && ls.owner != static_cast<std::int16_t>(core)) return true;
   return (ls.sharers & ~(1ULL << core)) != 0;
 }
@@ -99,9 +111,10 @@ void MemorySystem::notify_holders(const LineState& ls, Addr line, CoreId except,
 Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_out,
                          bool exclusive) {
   const Addr line = line_of(a);
-  LineState& ls = line_mut(line);
+  Page& pg = page_mut(line);
+  LineState& ls = pg.lines[line_slot(line)];
 
-  if (ls.pending && ls.pending_at <= now) apply_pending(ls);
+  if (ls.pending && ls.pending_at <= now) apply_pending(pg, ls);
 
   // Clean-hit fast path (ISSUE 7): nothing in flight on the line and we hold
   // a valid copy. Owner hits never consult the fault engine (evictions only
@@ -114,7 +127,7 @@ Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_ou
     if (fast_owner ||
         (fault_ == nullptr && ((ls.sharers >> core) & 1) != 0)) {
       ++stats_.hits;
-      value_out = words_[word_index(a)];
+      value_out = pg.words[word_slot(a)];
       return now + spec_.lat.cache_hit;
     }
   }
@@ -139,7 +152,7 @@ Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_ou
   }
   if (may_hit && (owner_hit || sharer_hit)) {
     ++stats_.hits;
-    value_out = words_[word_index(a)];
+    value_out = pg.words[word_slot(a)];
     return now + spec_.lat.cache_hit;
   }
 
@@ -147,7 +160,7 @@ Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_ou
   const Cycle start = std::max(now, ls.busy_until);
   if (ls.pending) {
     ARMBAR_CHECK(ls.pending_at <= start);
-    apply_pending(ls);
+    apply_pending(pg, ls);
   }
 
   const NodeId me = spec_.node_of(core);
@@ -199,7 +212,7 @@ Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_ou
   // Read transfers pipeline: the line's service port frees after the
   // occupancy window even though this requester waits the full latency.
   ls.busy_until = start + std::min<Cycle>(latency, spec_.lat.read_occupancy);
-  value_out = words_[word_index(a)];
+  value_out = pg.words[word_slot(a)];
   return done;
 }
 
@@ -215,11 +228,12 @@ Cycle MemorySystem::exchange(CoreId core, Addr a, std::uint64_t v, Cycle now,
 Cycle MemorySystem::store(CoreId core, Addr a, std::uint64_t v, Cycle now,
                           bool& remote_snoop_out) {
   const Addr line = line_of(a);
-  LineState& ls = line_mut(line);
+  Page& pg = page_mut(line);
+  LineState& ls = pg.lines[line_slot(line)];
   const auto self = static_cast<std::int16_t>(core);
   remote_snoop_out = false;
 
-  if (ls.pending && ls.pending_at <= now) apply_pending(ls);
+  if (ls.pending && ls.pending_at <= now) apply_pending(pg, ls);
 
   // Owned-drain fast path (ISSUE 7), hoisted above the kSimCoherence scope:
   // already own the line in M/E and nothing in flight — cheap drain, visible
@@ -242,7 +256,7 @@ Cycle MemorySystem::store(CoreId core, Addr a, std::uint64_t v, Cycle now,
   const Cycle start = std::max(now, ls.busy_until);
   if (ls.pending) {
     ARMBAR_CHECK(ls.pending_at <= start);
-    apply_pending(ls);
+    apply_pending(pg, ls);
   }
 
   const NodeId me = spec_.node_of(core);

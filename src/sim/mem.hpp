@@ -19,10 +19,22 @@
 //   become visible out of program order.
 // * Values live at 8-byte-word granularity, which gives the simulator the
 //   64-bit single-copy atomicity that Pilot (paper §4.3) relies on.
+// * Backing is lazy and page-granular. The address span is a directory of
+//   4 KiB pages, each holding its 512 words next to its 64 LineStates. A
+//   page is allocated (zero words, default lines) on the first mutating
+//   access: load, store, exchange, poke, debug_set_line_state. Const
+//   queries on an untouched page (peek, load_hits, owns, any_remote_holder,
+//   line_state) read one shared all-default page and allocate nothing, so an
+//   untouched page behaves exactly like a touched page nobody holds.
+//   Construction, destruction and verifier sweeps therefore cost the pages a
+//   program touches, not the span: a 64 MiB machine pays for an 8-byte
+//   directory slot per page instead of zero-filling 64 MiB of words and a
+//   LineState per line, while the paper's kernels touch a few dozen lines.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -79,7 +91,11 @@ class MemorySystem {
   void set_home(Addr base, std::size_t bytes, NodeId node);
   NodeId home_of(Addr a) const;
 
-  std::size_t size_bytes() const { return words_.size() * kWordBytes; }
+  /// The simulated address span, backed or not.
+  std::size_t size_bytes() const { return span_bytes_; }
+
+  /// Pages backed so far: 0 until the first mutating access.
+  std::size_t resident_pages() const { return resident_pages_; }
 
   // ---- functional access (setup/teardown, no timing) ----
   /// End-of-time view: includes any pending (in-flight) store's value.
@@ -121,34 +137,51 @@ class MemorySystem {
   const MemStats& stats() const { return stats_; }
   void reset_stats() { stats_ = MemStats{}; }
 
-  const LineState& line_state(Addr a) const { return lines_[line_index(a)]; }
+  /// Coherence state of `a`'s line. An untouched line reads as the shared
+  /// default state, so read the reference before the next mutating access.
+  const LineState& line_state(Addr a) const {
+    return page(a).lines[line_slot(a)];
+  }
 
   /// Test seam for the invariant checker: overwrite a line's coherence
   /// metadata wholesale. Exists so tests can construct states the simulator
   /// itself can never reach (e.g. an owner plus a foreign sharer) and prove
   /// the MachineVerifier catches them. Never called by the simulator.
   void debug_set_line_state(Addr a, const LineState& ls) {
-    lines_[line_index(a)] = ls;
+    page_mut(a).lines[line_slot(a)] = ls;
   }
 
  private:
   // Tracer attachment goes through Machine::set_tracer() (single attach
   // point); see the note on Core::set_tracer. Fault engines follow the
-  // same pattern, and MachineVerifier scans the line table.
+  // same pattern, and MachineVerifier scans the resident pages.
   friend class Machine;
   friend class MachineVerifier;
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
 
-  std::size_t word_index(Addr a) const;
-  std::size_t line_index(Addr a) const;
-  LineState& line_mut(Addr a) { return lines_[line_index(a)]; }
-  void apply_pending(LineState& ls);
+  static constexpr std::size_t kPageBytes = 4096;
+  /// One page of backing store: its words and its lines' coherence state.
+  struct Page {
+    std::uint64_t words[kPageBytes / kWordBytes];
+    LineState lines[kPageBytes / kCacheLineBytes];
+  };
+  /// What every untouched page reads as: zero words, default lines.
+  static const Page kUntouchedPage;
+
+  const Page& page(Addr a) const;  ///< kUntouchedPage until first mutated
+  Page& page_mut(Addr a);          ///< allocates the page on first touch
+  static std::size_t line_slot(Addr a) {
+    return a % kPageBytes / kCacheLineBytes;
+  }
+  static std::size_t word_slot(Addr a);
+  void apply_pending(Page& pg, LineState& ls);
   void notify_holders(const LineState& ls, Addr line, CoreId except, Cycle at);
 
   const PlatformSpec spec_;
-  std::vector<std::uint64_t> words_;
-  std::vector<LineState> lines_;
+  const std::size_t span_bytes_;
+  std::vector<std::unique_ptr<Page>> pages_;  ///< nullptr until first mutated
+  std::size_t resident_pages_ = 0;
   std::vector<NodeId> home_;  ///< per home-granule node id
   InvalidateHook inv_hook_;
   trace::Tracer* tracer_ = nullptr;

@@ -14,6 +14,41 @@ std::string hex(std::uint64_t v) {
   os << "0x" << std::hex << v;
   return os.str();
 }
+
+/// One line's coherence invariants; "" when they hold.
+std::string check_line(const LineState& ls, Addr line, std::uint32_t total) {
+  // Most lines, even on a resident page, are idle; skip them fast.
+  if (ls.owner == kNoOwner && ls.sharers == 0 && !ls.pending) return {};
+  const std::uint64_t core_mask =
+      total >= 64 ? ~0ULL : ((1ULL << total) - 1);
+  const std::string where = "line " + hex(line) + ": ";
+  if ((ls.sharers & ~core_mask) != 0)
+    return where + "sharer mask " + hex(ls.sharers) + " names cores >= " +
+           std::to_string(total);
+  if (ls.owner != kNoOwner) {
+    if (ls.owner < 0 || static_cast<std::uint32_t>(ls.owner) >= total)
+      return where + "owner " + std::to_string(ls.owner) + " out of range";
+    // Single-writer: an owned (M/E) line may not coexist with foreign
+    // shared copies (the owner's own bit is tolerated).
+    if ((ls.sharers & ~(1ULL << ls.owner)) != 0)
+      return where + "owner " + std::to_string(ls.owner) +
+             " coexists with foreign sharers (mask " + hex(ls.sharers) + ")";
+  }
+  if (ls.pending) {
+    if (ls.pending_owner < 0 ||
+        static_cast<std::uint32_t>(ls.pending_owner) >= total)
+      return where + "pending store with invalid writer " +
+             std::to_string(ls.pending_owner);
+    if (ls.busy_until < ls.pending_at)
+      return where + "pending store lands at " +
+             std::to_string(ls.pending_at) + " after busy_until " +
+             std::to_string(ls.busy_until);
+    if ((ls.pending_keep_sharers & ~ls.sharers) != 0)
+      return where + "pending keep-sharers " + hex(ls.pending_keep_sharers) +
+             " not a subset of sharers " + hex(ls.sharers);
+  }
+  return {};
+}
 }  // namespace
 
 void set_global_verify_every(Cycle every) { g_verify_every = every; }
@@ -77,37 +112,14 @@ bool SimDiagnostic::from_json(const trace::Json& j, SimDiagnostic* out) {
 std::string MachineVerifier::check_lines() const {
   const MemorySystem& mem = *m_.mem_;
   const std::uint32_t total = m_.spec_.total_cores();
-  const std::uint64_t core_mask =
-      total >= 64 ? ~0ULL : ((1ULL << total) - 1);
-  for (std::size_t i = 0; i < mem.lines_.size(); ++i) {
-    const LineState& ls = mem.lines_[i];
-    // The overwhelming majority of lines are untouched; skip them fast.
-    if (ls.owner == kNoOwner && ls.sharers == 0 && !ls.pending) continue;
-    const std::string where = "line " + hex(i * kCacheLineBytes) + ": ";
-    if ((ls.sharers & ~core_mask) != 0)
-      return where + "sharer mask " + hex(ls.sharers) + " names cores >= " +
-             std::to_string(total);
-    if (ls.owner != kNoOwner) {
-      if (ls.owner < 0 || static_cast<std::uint32_t>(ls.owner) >= total)
-        return where + "owner " + std::to_string(ls.owner) + " out of range";
-      // Single-writer: an owned (M/E) line may not coexist with foreign
-      // shared copies (the owner's own bit is tolerated).
-      if ((ls.sharers & ~(1ULL << ls.owner)) != 0)
-        return where + "owner " + std::to_string(ls.owner) +
-               " coexists with foreign sharers (mask " + hex(ls.sharers) + ")";
-    }
-    if (ls.pending) {
-      if (ls.pending_owner < 0 ||
-          static_cast<std::uint32_t>(ls.pending_owner) >= total)
-        return where + "pending store with invalid writer " +
-               std::to_string(ls.pending_owner);
-      if (ls.busy_until < ls.pending_at)
-        return where + "pending store lands at " +
-               std::to_string(ls.pending_at) + " after busy_until " +
-               std::to_string(ls.busy_until);
-      if ((ls.pending_keep_sharers & ~ls.sharers) != 0)
-        return where + "pending keep-sharers " + hex(ls.pending_keep_sharers) +
-               " not a subset of sharers " + hex(ls.sharers);
+  // Untouched pages hold only idle default lines. Resident pages are walked
+  // in address order, so the first violation reported is the lowest line.
+  for (std::size_t p = 0; p < mem.pages_.size(); ++p) {
+    if (mem.pages_[p] == nullptr) continue;
+    Addr line = p * MemorySystem::kPageBytes;
+    for (const LineState& ls : mem.pages_[p]->lines) {
+      if (std::string v = check_line(ls, line, total); !v.empty()) return v;
+      line += kCacheLineBytes;
     }
   }
   return {};

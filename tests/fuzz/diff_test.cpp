@@ -118,6 +118,16 @@ TEST(FuzzDiff, TimeoutIsReported) {
   EXPECT_TRUE(saw_timeout) << r.summary();
 }
 
+TEST(FuzzDiff, HaltedCoreSeedsRunClean) {
+  // Seeds 351 and 437 once aborted the whole campaign: a halted core lost
+  // the wake for a store whose gating branch committed in HALT's own step.
+  for (const std::uint64_t seed : {351, 437}) {
+    const f::DiffResult r =
+        f::run_diff(f::generate(seed), f::DiffOptions::defaults(8));
+    EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.summary();
+  }
+}
+
 TEST(FuzzDiff, MutationStringsRoundTrip) {
   for (auto mt : {f::SimMutation::kNone, f::SimMutation::kDropDmbSt,
                   f::SimMutation::kDropDmbLd, f::SimMutation::kDropDmbFull,

@@ -255,5 +255,26 @@ TEST(Exec, HaltedCoreDrainsItsStoreBuffer) {
   EXPECT_EQ(m.mem().peek(0x9000), 3u);
 }
 
+TEST(Exec, HaltedCoreDrainsStoreUngatedInItsHaltStep) {
+  // HALT waits out pending branches, so the step that commits the branch
+  // gating this store also issues the HALT, after that step's pump passed
+  // the store over. Its value_ready and drain_at are long past, so no
+  // store-buffer event wakes the halted core again; it must still drain,
+  // on every preset, instead of tripping the run loop's deadlock check.
+  for (const PlatformSpec& spec : all_platforms()) {
+    Machine m(spec, 1u << 20);
+    Asm a;
+    a.movi(X0, 0x1000).movi(X2, 2);
+    a.ldr(X3, X0, 0);    // cold miss: the branch below resolves late
+    a.cbnz(X3, "done");  // forward, so predicted (and actually) not taken
+    a.str(X2, X0, 0);    // speculative store, gated on that branch
+    a.label("done");
+    a.halt();
+    m.load_program(0, a.take("halt-ungates-store"));
+    ASSERT_TRUE(m.run({}).completed) << spec.name;
+    EXPECT_EQ(m.mem().peek(0x1000), 2u) << spec.name;
+  }
+}
+
 }  // namespace
 }  // namespace armbar::sim

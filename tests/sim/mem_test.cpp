@@ -205,5 +205,62 @@ TEST_F(MemTest, OutOfRangeAborts) {
   EXPECT_DEATH(mem_.load(0, 1u << 21 << 3, 0, v), "out of simulated memory");
 }
 
+// Lazy backing: a 64 MiB span costs nothing until an access mutates it,
+// and an untouched page reads exactly like a touched page nobody holds.
+class LazyMemTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kSpan = 64u << 20;
+  LazyMemTest() : spec_(kunpeng916()), mem_(spec_, kSpan) {}
+  PlatformSpec spec_;
+  MemorySystem mem_;
+};
+
+TEST_F(LazyMemTest, ConstQueriesOnUntouchedPagesAllocateNothing) {
+  EXPECT_EQ(mem_.size_bytes(), kSpan);
+  for (const Addr a : {Addr{0}, Addr{0x1000}, Addr{kSpan / 2}, Addr{kSpan - 8}}) {
+    EXPECT_EQ(mem_.peek(a), 0u);
+    EXPECT_FALSE(mem_.load_hits(3, a));
+    EXPECT_FALSE(mem_.owns(3, a));
+    EXPECT_FALSE(mem_.any_remote_holder(3, a));
+    const LineState& ls = mem_.line_state(a);
+    EXPECT_EQ(ls.owner, kNoOwner);
+    EXPECT_EQ(ls.sharers, 0u);
+    EXPECT_EQ(ls.busy_until, 0u);
+    EXPECT_FALSE(ls.pending);
+  }
+  EXPECT_EQ(mem_.resident_pages(), 0u);
+}
+
+TEST_F(LazyMemTest, MutatingAccessBacksOnlyItsPage) {
+  mem_.poke(0x1008, 5);
+  EXPECT_EQ(mem_.resident_pages(), 1u);
+  EXPECT_EQ(mem_.peek(0x1008), 5u);
+  EXPECT_EQ(mem_.peek(0x1000), 0u);
+  std::uint64_t v = 0;
+  mem_.load(0, 0x1fc0, 0, v);  // same page
+  EXPECT_EQ(mem_.resident_pages(), 1u);
+  bool remote = false;
+  mem_.store(0, 0x2000, 1, 0, remote);  // next page
+  EXPECT_EQ(mem_.resident_pages(), 2u);
+}
+
+TEST_F(LazyMemTest, LastWordOfSpanRoundTrips) {
+  const Addr last = kSpan - kWordBytes;
+  mem_.poke(last, 0xfeed);
+  EXPECT_EQ(mem_.peek(last), 0xfeedu);
+  bool remote = false;
+  const Cycle done = mem_.store(0, last, 0xbeef, 0, remote);
+  std::uint64_t v = 0;
+  mem_.load(1, last, done, v);
+  EXPECT_EQ(v, 0xbeefu);
+  EXPECT_EQ(mem_.resident_pages(), 1u);
+}
+
+TEST_F(LazyMemTest, SpanEndStillAborts) {
+  std::uint64_t v = 0;
+  EXPECT_DEATH((void)mem_.peek(kSpan), "out of simulated memory");
+  EXPECT_DEATH(mem_.load(0, kSpan, 0, v), "out of simulated memory");
+}
+
 }  // namespace
 }  // namespace armbar::sim

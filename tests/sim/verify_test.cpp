@@ -84,6 +84,34 @@ TEST(Verifier, DetectsMalformedPendingStore) {
   EXPECT_NE(MachineVerifier(m).check(), "");
 }
 
+TEST(Verifier, DetectsForeignSharerOnLastLineOfSpan) {
+  constexpr std::size_t kSpan = 64u << 20;
+  Machine m(rpi4(), kSpan);
+  LineState ls;
+  ls.owner = 0;
+  ls.sharers = 1ULL << 2;
+  m.mem().debug_set_line_state(kSpan - kCacheLineBytes, ls);
+  const std::string violation = MachineVerifier(m).check();
+  EXPECT_TRUE(violation.starts_with(
+      "line 0x3ffffc0: owner 0 coexists with foreign sharers"))
+      << violation;
+}
+
+TEST(Verifier, ReportsLowestViolationAcrossPages) {
+  Machine m(rpi4(), 64u << 20);
+  LineState foreign_sharer;
+  foreign_sharer.owner = 0;
+  foreign_sharer.sharers = 1ULL << 2;
+  LineState bad_mask;
+  bad_mask.sharers = 1ULL << 9;  // rpi4 has no core 9
+  // Back the higher page first: the report follows addresses, not the
+  // order pages were touched in.
+  m.mem().debug_set_line_state(0x2000040, foreign_sharer);
+  m.mem().debug_set_line_state(0x5000, bad_mask);
+  const std::string violation = MachineVerifier(m).check();
+  EXPECT_TRUE(violation.starts_with("line 0x5000: ")) << violation;
+}
+
 TEST(Verifier, CorruptionDuringRunThrowsInvariantViolation) {
   Machine m(rpi4(), 1u << 20);
   Program p = counting_loop(100);
