@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/analysis.hpp"
 #include "simprog/abstract_model.hpp"
 
 using namespace armbar;
@@ -39,7 +38,7 @@ void usage() {
       "  --nops N          nops between the two memory operations\n"
       "  --iters N         loop iterations (default 1000)\n"
       "  --cross           bind the two threads to different NUMA nodes\n"
-      "  --disasm          print the generated program and fence analysis\n"
+      "  --disasm          print the generated program\n"
       "  --list            print the available choices and exit\n");
 }
 
@@ -98,10 +97,7 @@ int main(int argc, char** argv) {
     return make_store_store_model(oc, bl, nops, iters, kBufA, kBufB);
   }();
 
-  if (disasm) {
-    std::printf("%s\n", p.disassemble().c_str());
-    std::printf("%s\n", sim::analyze_fences(p).str().c_str());
-  }
+  if (disasm) std::printf("%s\n", p.disassemble().c_str());
 
   double thr;
   if (model == "intrinsic") {

@@ -29,8 +29,10 @@
 #   * the model_perf experiment gating the POR checker >= 5x faster than
 #     the naive oracle on the co-heavy deep-MP shape (report-validated,
 #     speedup read back out of the JSON);
-#   * the legacy per-figure wrapper path (fig3 --json --trace) including
-#     the >= 3 latency-histogram gate;
+#   * a single-experiment run (armbar-bench --filter fig3_store_store
+#     --json --trace): the report validates, is named after the
+#     experiment and carries >= 3 latency histograms, and the Chrome
+#     trace parses with a non-empty traceEvents array;
 #   * trace_explorer's span-accounting self-check;
 #   * a fault-injected consolidated run (--fault-seed) whose report must
 #     still validate, carry per-experiment status params and an (empty)
@@ -219,24 +221,24 @@ print(f"model_perf gate OK (POR {speedup:.1f}x naive, "
       f"{doc['metrics']['deep_por_execs_per_sec']:.0f} POR execs/sec)")
 EOF
 
-echo "== legacy wrapper smoke (fig3 --json --trace) =="
-"$BUILD/bench/fig3_store_store" \
-    --cache-dir "$CACHE_DIR" \
+echo "== single-experiment smoke (--filter fig3_store_store --json --trace) =="
+"$BENCH" --filter fig3_store_store --cache-dir "$CACHE_DIR" \
     --json="$SMOKE_DIR/fig3_store_store.report.json" \
     --trace="$SMOKE_DIR/fig3_store_store.trace.json" > /dev/null
 "$BUILD/tools/report_check" "$SMOKE_DIR/fig3_store_store.report.json"
-
-# The report must actually carry latency distributions, not just checks.
-HISTS=$(python3 - "$SMOKE_DIR/fig3_store_store.report.json" <<'EOF'
+# The report must be named after the experiment and carry latency
+# distributions, not just checks; the trace must hold events.
+python3 - "$SMOKE_DIR/fig3_store_store.report.json" \
+    "$SMOKE_DIR/fig3_store_store.trace.json" <<'EOF'
 import json, sys
-print(len(json.load(open(sys.argv[1]))["histograms"]))
+doc = json.load(open(sys.argv[1]))
+assert doc["bench"] == "fig3_store_store", f"bench is {doc['bench']!r}"
+hists = len(doc["histograms"])
+assert hists >= 3, f"expected >= 3 histogram metrics in the report, got {hists}"
+events = len(json.load(open(sys.argv[2]))["traceEvents"])
+assert events > 0, "trace has an empty traceEvents array"
+print(f"report carries {hists} histogram metrics; trace has {events} events")
 EOF
-)
-if [ "$HISTS" -lt 3 ]; then
-    echo "FAIL: expected >= 3 histogram metrics in the report, got $HISTS"
-    exit 1
-fi
-echo "report carries $HISTS histogram metrics"
 
 echo "== trace_explorer self-check =="
 "$BUILD/examples/trace_explorer" > /dev/null

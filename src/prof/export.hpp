@@ -20,7 +20,7 @@ inline constexpr const char* kHostProfSchema = "armbar.host_prof/v1";
 ///     "excluded_from_digests": true,       // host time never enters a
 ///                                          //   cached value or digest
 ///     "wall_ns": W, "threads": T,
-///     "phases":   {"sim.issue": {"count":N,"total_ns":T,"self_ns":S}, ...},
+///     "phases":   {"sim.run": {"count":N,"total_ns":T,"self_ns":S}, ...},
 ///     "counters": {"sim.instructions": N, ...},
 ///     "sim_instructions": N,               // present when any sim ran
 ///     "sim_instructions_per_sec": ips }    //   ips = instrs / sim.run ns

@@ -10,8 +10,6 @@ const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kSimRun: return "sim.run";
     case Phase::kSimSchedule: return "sim.schedule";
-    case Phase::kSimIssue: return "sim.issue";
-    case Phase::kSimSbDrain: return "sim.sb_drain";
     case Phase::kSimCoherence: return "sim.coherence";
     case Phase::kSimVerify: return "sim.verify";
     case Phase::kTraceEmit: return "trace.emit";

@@ -5,8 +5,7 @@
 // Design constraints, in order:
 //   1. Negligible overhead when off. Every hook first reads one relaxed
 //      atomic; a disabled ScopedTimer is a branch and two dead stores.
-//      Under ARMBAR_PROF_DISABLED the hooks compile out entirely
-//      (mirroring ARMBAR_TRACE_DISABLED / ARMBAR_FAULT_DISABLED), with the
+//      Under ARMBAR_PROF_DISABLED the hooks compile out entirely, with the
 //      arguments still type-checked so the no-prof build cannot rot.
 //   2. No synchronization on the hot path. Each thread accumulates into a
 //      thread-local calltree (intrusive first-child/next-sibling nodes
@@ -43,8 +42,6 @@ namespace armbar::prof {
 enum class Phase : std::uint8_t {
   kSimRun,         ///< Machine::run, whole interpreter loop
   kSimSchedule,    ///< event-queue scan: next attention over live cores
-  kSimIssue,       ///< Core::step decode/issue (incl. branch resolve)
-  kSimSbDrain,     ///< store-buffer pump/drain
   kSimCoherence,   ///< MemorySystem load/store/exchange
   kSimVerify,      ///< MachineVerifier cadence sweeps
   kTraceEmit,      ///< tracer ring writes (the observer's own cost)
@@ -53,7 +50,7 @@ enum class Phase : std::uint8_t {
   kFuzzDiff,       ///< differential run (model + platform sweep)
   kBenchNullLoop,  ///< sim_perf's null-interpreter calibration loop
 };
-inline constexpr std::size_t kNumPhases = 11;
+inline constexpr std::size_t kNumPhases = 9;
 const char* phase_name(Phase p);
 
 /// Process-wide monotonic counters (merged across threads at snapshot).

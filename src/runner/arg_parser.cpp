@@ -9,6 +9,27 @@
 
 namespace armbar::runner {
 
+bool parse_int_option(const std::string& name, const std::string& text,
+                      std::int64_t min, std::int64_t max, std::int64_t* out,
+                      std::string* err) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end == text.c_str() || *end != '\0') {
+    if (err)
+      *err = "option '--" + name + "' expects an integer, got '" + text + "'";
+    return false;
+  }
+  if (errno == ERANGE || v < min || v > max) {
+    if (err)
+      *err = "option '--" + name + "' value " + text + " out of range [" +
+             std::to_string(min) + ", " + std::to_string(max) + "]";
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 ArgParser::ArgParser(std::string prog, std::string description)
     : prog_(std::move(prog)), description_(std::move(description)) {}
 
@@ -100,26 +121,10 @@ bool ArgParser::parse(int argc, char** argv, std::string* err) {
   }
   // Validate every integer option up front so `--jobs=abc` or an overflow
   // is a clean parse error, not an abort (or garbage) at first access.
-  for (Opt& o : opts_) {
-    if (o.kind != Kind::kInt || !o.given) continue;
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(o.value.c_str(), &end, 10);
-    if (o.value.empty() || end == o.value.c_str() || *end != '\0') {
-      if (err)
-        *err = "option '--" + o.name + "' expects an integer, got '" +
-               o.value + "'";
+  for (Opt& o : opts_)
+    if (o.kind == Kind::kInt && o.given &&
+        !parse_int_option(o.name, o.value, o.imin, o.imax, &o.ival, err))
       return false;
-    }
-    if (errno == ERANGE || v < o.imin || v > o.imax) {
-      if (err)
-        *err = "option '--" + o.name + "' value " + o.value +
-               " out of range [" + std::to_string(o.imin) + ", " +
-               std::to_string(o.imax) + "]";
-      return false;
-    }
-    o.ival = v;
-  }
   return true;
 }
 

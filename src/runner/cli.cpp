@@ -21,21 +21,14 @@ bool write_text(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-int cli_main(int argc, char** argv, const char* forced_experiment) {
-  const bool forced = forced_experiment != nullptr;
-  const std::string prog =
-      forced ? std::string(forced_experiment) : std::string("armbar-bench");
+int cli_main(int argc, char** argv) {
+  const std::string prog = "armbar-bench";
   ArgParser args(prog,
-                 forced
-                     ? "Legacy wrapper for the '" + prog +
-                           "' experiment (same engine as armbar-bench)."
-                     : "Unified runner for every registered fig*/table* "
-                       "experiment of the ARM-barrier study.");
-  if (!forced) {
-    args.add_flag("list", "list registered experiments and exit");
-    args.add_value("filter", "GLOB",
-                   "comma-separated glob list over experiment names", "*");
-  }
+                 "Unified runner for every registered fig*/table* "
+                 "experiment of the ARM-barrier study.");
+  args.add_flag("list", "list registered experiments and exit");
+  args.add_value("filter", "GLOB",
+                 "comma-separated glob list over experiment names", "*");
   args.add_int("jobs", "N", "max parallel sweep points (0 = hardware threads)",
                0, 0, 4096);
   args.add_int("repeat", "N",
@@ -110,7 +103,7 @@ int cli_main(int argc, char** argv, const char* forced_experiment) {
   }
 
   const Registry& registry = Registry::global();
-  if (!forced && args.given("list")) {
+  if (args.given("list")) {
     for (const ExperimentSpec* s : registry.sorted())
       std::printf("%-26s %-10s %s\n", s->name.c_str(), s->figure.c_str(),
                   s->title.c_str());
@@ -118,7 +111,7 @@ int cli_main(int argc, char** argv, const char* forced_experiment) {
   }
 
   EngineOptions opts;
-  opts.filter = forced ? std::string(forced_experiment) : args.str("filter");
+  opts.filter = args.str("filter");
   opts.jobs = static_cast<std::size_t>(args.integer("jobs", 0));
   opts.repeat = static_cast<std::uint32_t>(args.integer("repeat", 1));
   opts.timeout_ms = args.integer("timeout-ms");

@@ -1,20 +1,19 @@
-// Shared entry point for armbar-bench and the legacy per-figure wrappers.
+// Entry point of armbar-bench, the one front end for every registered
+// experiment:
 //
 //   armbar-bench --list
 //   armbar-bench --filter 'fig3*' --jobs 8 --json
-//   fig3_store_store --json=out.json --trace        (forced_experiment set)
+//   armbar-bench --filter fig3_store_store --json --trace
 //
-// A legacy wrapper is the same engine pinned to one experiment: the old
-// --json[=path] / --trace[=path] flags keep working, plus the new common
-// flags (--jobs, --repeat, --no-cache, --cache-dir).
+// A filter matching exactly one experiment reports it under its own name
+// with unprefixed keys and writes <name>.report.json / <name>.trace.json
+// by default.
 #pragma once
 
 namespace armbar::runner {
 
 /// Parse flags, run the engine, write the report. Returns the process exit
 /// code (0 iff every matched experiment passed and all I/O succeeded).
-/// `forced_experiment` non-null pins the run to that one experiment and
-/// hides --list/--filter (legacy wrapper mode).
-int cli_main(int argc, char** argv, const char* forced_experiment = nullptr);
+int cli_main(int argc, char** argv);
 
 }  // namespace armbar::runner

@@ -363,8 +363,7 @@ EngineResult Engine::run() {
                   failure.reason.c_str(), attempts, attempts == 1 ? "" : "s");
 
     // Fold this experiment into the consolidated report. Single-match runs
-    // keep the old unprefixed keys for byte-compatibility with the legacy
-    // per-figure reports.
+    // keep unprefixed keys.
     const std::string cp = single ? "" : spec->name + ": ";
     const std::string kp = single ? "" : spec->name + "/";
     for (const auto& c : ctx->checks()) report.add_check(cp + c.claim, c.pass);

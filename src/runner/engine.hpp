@@ -6,9 +6,9 @@
 // Experiments execute serially in name order — parallelism lives *inside*
 // an experiment (ctx.map over sweep points) so stdout stays readable and
 // the report order is deterministic. A single-match run reports under the
-// experiment's own name with unprefixed check/metric keys, byte-compatible
-// with the old one-binary-per-figure reports; a multi-match run reports as
-// "armbar-bench" with "<experiment>: " / "<experiment>/" prefixes.
+// experiment's own name with unprefixed check/metric keys; a multi-match
+// run reports as "armbar-bench" with "<experiment>: " / "<experiment>/"
+// prefixes.
 #pragma once
 
 #include <cstdint>

@@ -25,9 +25,9 @@
 // reproducible (and as cacheable) as clean ones.
 //
 // Hook shape mirrors the PR-1 trace hooks: call sites are wrapped in
-// ARMBAR_FAULT_CYCLES / ARMBAR_FAULT_HIT macros that compile to constant
-// zero/false under ARMBAR_FAULT_DISABLED and to a null-checked call
-// otherwise, so a fault-free build is bit-identical to the pre-fault tree.
+// ARMBAR_FAULT_CYCLES / ARMBAR_FAULT_HIT macros that expand to a
+// null-checked call, so a run without a plan is bit-identical to the
+// pre-fault tree.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +38,6 @@
 #include "common/types.hpp"
 
 namespace armbar::sim::fault {
-
-#if defined(ARMBAR_FAULT_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// Declarative fault-injection parameters. Probabilities are per-mille
 /// (0..1000) so plans digest into cache keys as plain integers with no
@@ -131,16 +125,9 @@ void clear_global_fault_plan();
 const FaultPlan* global_fault_plan();
 
 /// Hook-site macros, mirroring ARMBAR_TRACE: `engine` is a FaultEngine*
-/// that is null when no faults are active. Under ARMBAR_FAULT_DISABLED the
-/// call is dead-stripped but stays type-checked.
-#if defined(ARMBAR_FAULT_DISABLED)
-#define ARMBAR_FAULT_CYCLES(engine, call) \
-  ((engine) != nullptr && false ? (engine)->call : ::armbar::Cycle{0})
-#define ARMBAR_FAULT_HIT(engine, call) ((engine) != nullptr && false && (engine)->call)
-#else
+/// that is null when no faults are active.
 #define ARMBAR_FAULT_CYCLES(engine, call) \
   ((engine) != nullptr ? (engine)->call : ::armbar::Cycle{0})
 #define ARMBAR_FAULT_HIT(engine, call) ((engine) != nullptr && (engine)->call)
-#endif
 
 }  // namespace armbar::sim::fault

@@ -83,7 +83,6 @@ RunResult Machine::run(const RunConfig& cfg) {
   if (attach) set_tracer(cfg.tracer);
   if (cfg.stats == RunConfig::Stats::kResetBeforeRun) reset_stats();
 
-#if !defined(ARMBAR_FAULT_DISABLED)
   // Fault injection: an explicit plan wins; otherwise fall back to the
   // process-global plan the runner installs for chaos sweeps. The engine is
   // fanned out the same way a tracer is — private setters, one attach point.
@@ -94,7 +93,6 @@ RunResult Machine::run(const RunConfig& cfg) {
     for (auto& c : cores_) c->set_fault_engine(fault_engine_.get());
     mem_->set_fault_engine(fault_engine_.get());
   }
-#endif
 
   RunResult res;
   std::vector<Core*> live;
@@ -133,8 +131,8 @@ RunResult Machine::run(const RunConfig& cfg) {
   {
     // One kSimSchedule scope for the whole loop (the PR-6 build re-entered
     // it every iteration — ~25% of sim wall time was the scope's own clock
-    // reads). Step-internal phases (kSimSbDrain/kSimIssue/kSimCoherence/
-    // kSimVerify) nest inside it and subtract out as children.
+    // reads). The phases entered inside it (kSimCoherence, kSimVerify)
+    // nest as children and subtract out of its self time.
     ARMBAR_PROF_SCOPE(kSimSchedule);
     while (true) {
       // Lazy-heap min over the per-core attention slots: O(log n) amortized

@@ -52,7 +52,7 @@ struct RunConfig {
   /// Fault-injection plan for this run. When null, Machine::run() falls
   /// back to the process-global plan (fault::set_global_fault_plan) — the
   /// runner's chaos mode. A null/disabled plan costs one pointer check per
-  /// hook site; under ARMBAR_FAULT_DISABLED the hooks compile out entirely.
+  /// hook site.
   const fault::FaultPlan* fault = nullptr;
 
   /// Invariant-check cadence in cycles: every `verify_every` cycles a

@@ -2,10 +2,9 @@
 // simulator emits into at each pipeline stage.
 //
 // Design constraints (ISSUE 1 / paper §2.3):
-//  * Zero cost when absent: the simulator holds a `Tracer*` that is null by
-//    default, and every hook site is wrapped in ARMBAR_TRACE(...) which
-//    compiles to nothing when ARMBAR_TRACE_DISABLED is defined. With the
-//    pointer null the per-event cost is one predictable branch.
+//  * Near-zero cost when absent: the simulator holds a `Tracer*` that is
+//    null by default, and every hook site is wrapped in ARMBAR_TRACE(...),
+//    so with the pointer null the per-event cost is one predictable branch.
 //  * Zero timing impact when present: the tracer only records; it never
 //    feeds back into the simulation, so cycle counts are bit-identical with
 //    tracing on or off.
@@ -29,28 +28,12 @@
 
 namespace armbar::trace {
 
-#if defined(ARMBAR_TRACE_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Wrap every instrumentation site in the simulator:
 ///   ARMBAR_TRACE(tracer_, instr_issue(id_, pc_, op));
-/// Compiles to nothing when tracing is compiled out; otherwise a null check.
-#if defined(ARMBAR_TRACE_DISABLED)
-// Arguments stay type-checked (so instrumented code can't rot) but the
-// branch is constant-false and the whole call is dead-stripped.
-#define ARMBAR_TRACE(tracer, call)                 \
-  do {                                             \
-    if (false && (tracer) != nullptr) (tracer)->call; \
-  } while (false)
-#else
 #define ARMBAR_TRACE(tracer, call)     \
   do {                                 \
     if ((tracer) != nullptr) (tracer)->call; \
   } while (false)
-#endif
 
 enum class EventKind : std::uint8_t {
   kInstrIssue,       ///< one instruction left the issue stage (pc, op in detail)

@@ -28,12 +28,7 @@ LitmusConfig fault_config(std::uint64_t seed) {
   return cfg;
 }
 
-#define SKIP_IF_FAULTS_COMPILED_OUT()                               \
-  if (!sim::fault::kCompiledIn)                                     \
-  GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED"
-
 TEST(LitmusFault, MpWithDmbStNeverWeakUnderAnySeed) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_mp(Op::kDmbSt), fault_config(seed));
     EXPECT_FALSE(report.saw({0})) << "seed " << seed << "\n" << report.str();
@@ -42,7 +37,6 @@ TEST(LitmusFault, MpWithDmbStNeverWeakUnderAnySeed) {
 }
 
 TEST(LitmusFault, MpBareOutcomesStayInAllowedSet) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_mp(Op::kNop), fault_config(seed));
     for (const auto& [outcome, n] : report.histogram) {
@@ -55,7 +49,6 @@ TEST(LitmusFault, MpBareOutcomesStayInAllowedSet) {
 }
 
 TEST(LitmusFault, SbWithDmbNeverBothZero) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_sb(Op::kDmbFull), fault_config(seed));
     EXPECT_FALSE(report.saw({0, 0})) << "seed " << seed << "\n" << report.str();
@@ -63,7 +56,6 @@ TEST(LitmusFault, SbWithDmbNeverBothZero) {
 }
 
 TEST(LitmusFault, CoherenceNeverRegresses) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_coherence(), fault_config(seed));
     EXPECT_FALSE(report.saw({1})) << "seed " << seed
@@ -72,7 +64,6 @@ TEST(LitmusFault, CoherenceNeverRegresses) {
 }
 
 TEST(LitmusFault, StoresNeverTear) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_atomicity(), fault_config(seed));
     EXPECT_FALSE(report.saw({1})) << "seed " << seed
@@ -81,7 +72,6 @@ TEST(LitmusFault, StoresNeverTear) {
 }
 
 TEST(LitmusFault, SamePlanReproducesTheExactHistogram) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   const LitmusConfig cfg = fault_config(5);
   auto first = run_litmus(make_mp(Op::kNop), cfg);
   auto second = run_litmus(make_mp(Op::kNop), cfg);
@@ -91,7 +81,6 @@ TEST(LitmusFault, SamePlanReproducesTheExactHistogram) {
 }
 
 TEST(LitmusFault, DifferentSeedsPerturbTheSchedule) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   // Not an architectural requirement, but if every seed produced the bare
   // MP histogram of the clean run, the injector would be a no-op. At least
   // one of the 16 chaos seeds must shift a count.
@@ -110,7 +99,6 @@ TEST(LitmusFault, DifferentSeedsPerturbTheSchedule) {
 }
 
 TEST(LitmusFault, VerifierRidesAlongCleanly) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   // Faulted runs with the invariant verifier at a tight cadence: the
   // injector must never drive the machine into an illegal coherence state
   // (run_litmus would propagate the InvariantViolation).

@@ -24,7 +24,7 @@ void busy_us(std::int64_t us) {
   }
 }
 
-/// Record a small but real profile: sim.run{sim.issue} + instruction count.
+/// Record a small but real profile: sim.run{sim.schedule} + instruction count.
 Snapshot recorded_snapshot() {
   set_enabled(false);
   reset();
@@ -33,7 +33,7 @@ Snapshot recorded_snapshot() {
     ARMBAR_PROF_SCOPE(kSimRun);
     busy_us(200);
     {
-      ARMBAR_PROF_SCOPE(kSimIssue);
+      ARMBAR_PROF_SCOPE(kSimSchedule);
       busy_us(100);
     }
     ARMBAR_PROF_COUNT(kSimInstructions, 12345);
@@ -84,7 +84,7 @@ TEST(HostProfJson, ShapeAndValidation) {
   const Json* phases = hp.find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_NE(phases->find("sim.run"), nullptr);
-  ASSERT_NE(phases->find("sim.issue"), nullptr);
+  ASSERT_NE(phases->find("sim.schedule"), nullptr);
   EXPECT_GT(phases->find("sim.run")->find("total_ns")->number(), 0.0);
   // 12345 instructions over a real sim.run scope: derived ips present, > 0.
   ASSERT_NE(hp.find("sim_instructions_per_sec"), nullptr);
@@ -104,7 +104,7 @@ TEST(HostProfJson, CollapsedStacksFormat) {
   // flamegraph.pl lines: "path;path <self_ns>\n" — the nested phase shows
   // up under its parent's path.
   EXPECT_NE(folded.find("sim.run "), std::string::npos);
-  EXPECT_NE(folded.find("sim.run;sim.issue "), std::string::npos);
+  EXPECT_NE(folded.find("sim.run;sim.schedule "), std::string::npos);
 }
 
 TEST(HostProfJson, ChromeTraceParses) {

@@ -57,7 +57,7 @@ TEST_F(ProfTest, NestedScopesSelfWithinTotal) {
     ARMBAR_PROF_SCOPE(kSimRun);
     busy_us(200);
     {
-      ARMBAR_PROF_SCOPE(kSimIssue);
+      ARMBAR_PROF_SCOPE(kSimSchedule);
       busy_us(200);
     }
     busy_us(100);
@@ -65,20 +65,20 @@ TEST_F(ProfTest, NestedScopesSelfWithinTotal) {
   const Snapshot snap = snapshot();
   ASSERT_TRUE(snap.has_data());
   const PhaseStats& run = snap.phase(Phase::kSimRun);
-  const PhaseStats& issue = snap.phase(Phase::kSimIssue);
+  const PhaseStats& schedule = snap.phase(Phase::kSimSchedule);
   EXPECT_EQ(run.count, 1u);
-  EXPECT_EQ(issue.count, 1u);
+  EXPECT_EQ(schedule.count, 1u);
   EXPECT_GT(run.total_ns, 0u);
-  EXPECT_GE(run.total_ns, issue.total_ns);  // child nested inside parent
+  EXPECT_GE(run.total_ns, schedule.total_ns);  // child nested inside parent
   EXPECT_LE(run.self_ns, run.total_ns);
   // The child accounts for its slice: parent self < parent total.
   EXPECT_LT(run.self_ns, run.total_ns);
 
-  // Calltree shape: sim.issue's node hangs off sim.run's node.
+  // Calltree shape: sim.schedule's node hangs off sim.run's node.
   ASSERT_EQ(snap.nodes.size(), 2u);
   EXPECT_EQ(snap.nodes[0].phase, Phase::kSimRun);
   EXPECT_EQ(snap.nodes[0].parent, -1);
-  EXPECT_EQ(snap.nodes[1].phase, Phase::kSimIssue);
+  EXPECT_EQ(snap.nodes[1].phase, Phase::kSimSchedule);
   EXPECT_EQ(snap.nodes[1].parent, 0);
 }
 

@@ -195,6 +195,46 @@ TEST(ArgParserInt, HelpRendersLikeAValueOption) {
   EXPECT_NE(h.find("(default: 0)"), std::string::npos);
 }
 
+// parse_int_option: the add_int check, callable by binaries that walk argv
+// by hand (armbar-lockver, armbar-opt).
+TEST(ParseIntOption, ValidValuesAndBoundsAreAccepted) {
+  std::int64_t v = -1;
+  std::string err;
+  ASSERT_TRUE(parse_int_option("seed", "1234", 0, UINT32_MAX, &v, &err)) << err;
+  EXPECT_EQ(v, 1234);
+  ASSERT_TRUE(parse_int_option("seed", "0", 0, UINT32_MAX, &v, &err)) << err;
+  EXPECT_EQ(v, 0);
+  ASSERT_TRUE(parse_int_option("seed", "4294967295", 0, UINT32_MAX, &v, &err))
+      << err;
+  EXPECT_EQ(v, 4294967295);
+}
+
+TEST(ParseIntOption, MalformedTextNamesTheOption) {
+  for (const char* bad : {"abc", "2x", "", "1.5"}) {
+    std::int64_t v = 7;
+    std::string err;
+    EXPECT_FALSE(parse_int_option("chaos-seeds", bad, 0, 100, &v, &err))
+        << "'" << bad << "'";
+    EXPECT_NE(err.find("'--chaos-seeds' expects an integer"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(v, 7);  // untouched on failure
+  }
+}
+
+TEST(ParseIntOption, NegativeAndOverflowingValuesAreOutOfRange) {
+  for (const char* bad : {"-1", "4294967296", "99999999999999999999"}) {
+    std::int64_t v = 7;
+    std::string err;
+    EXPECT_FALSE(parse_int_option("fuzz", bad, 0, UINT32_MAX, &v, &err))
+        << "'" << bad << "'";
+    EXPECT_NE(err.find("'--fuzz' value"), std::string::npos) << err;
+    EXPECT_NE(err.find("out of range [0, 4294967295]"), std::string::npos)
+        << err;
+    EXPECT_EQ(v, 7);
+  }
+}
+
 TEST(ArgParser, MalformedIntegerDies) {
   ArgParser p = make_parser();
   Args a({"prog", "--jobs", "eight"});

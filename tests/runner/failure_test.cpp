@@ -252,8 +252,6 @@ TEST(EngineFailure, InvariantViolationCarriesDiagnostic) {
 }
 
 TEST(EngineFailure, WatchdogHangIsTypedAndQuarantined) {
-  if (!sim::fault::kCompiledIn)
-    GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   Registry r;
   r.add({"a_hang", "F1", "livelocked machine", &body_hang});
   r.add({"z_good", "F2", "healthy", &body_good});
@@ -387,8 +385,6 @@ TEST(EngineFailure, SigtermBehavesLikeSigint) {
 }
 
 TEST(EngineFailure, FaultedSweepIsBitIdenticalAcrossJobCounts) {
-  if (!sim::fault::kCompiledIn)
-    GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   Registry r;
   r.add({"sim_sweep", "F1", "machine sweep", &body_sim_sweep});
 

@@ -93,7 +93,6 @@ TEST(FaultMachine, DisabledPlanIsBitIdenticalToNoPlan) {
 }
 
 TEST(FaultMachine, SamePlanSameCycles) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   FaultPlan plan = FaultPlan::chaos(9);
   const Cycle first = run_with(&plan, store_loop, 200);
   for (int i = 0; i < 3; ++i)
@@ -101,7 +100,6 @@ TEST(FaultMachine, SamePlanSameCycles) {
 }
 
 TEST(FaultMachine, BarrierSpikesSlowBarrierHeavyCode) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   auto make = +[](int iters) {
     Asm a;
     a.movi(X0, 0x1000).movi(X2, 0);
@@ -122,7 +120,6 @@ TEST(FaultMachine, BarrierSpikesSlowBarrierHeavyCode) {
 }
 
 TEST(FaultMachine, DrainStallsSlowStores) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   auto make = +[](int iters) {
     Asm a;
     a.movi(X0, 0x1000).movi(X2, 0);
@@ -143,7 +140,6 @@ TEST(FaultMachine, DrainStallsSlowStores) {
 }
 
 TEST(FaultMachine, CoherenceDelaysSlowMisses) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   auto make = +[](int iters) {
     Asm a;
     a.movi(X0, 0x1000).movi(X2, 0).movi(X3, 0);
@@ -165,7 +161,6 @@ TEST(FaultMachine, CoherenceDelaysSlowMisses) {
 }
 
 TEST(FaultMachine, ForcedEvictionsTurnHitsIntoMisses) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   auto make = +[](int iters) {
     Asm a;
     a.movi(X0, 0x1000).movi(X2, 0);
@@ -200,7 +195,6 @@ TEST(FaultMachine, ForcedEvictionsTurnHitsIntoMisses) {
 }
 
 TEST(FaultMachine, DuplicatedInvalidationsAreIdempotent) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   // Producer/consumer over one line: with every invalidation delivered
   // twice, the final architectural state must be unchanged.
   auto build = [](const FaultPlan* plan, std::uint64_t& final_val) {
@@ -242,7 +236,6 @@ TEST(FaultMachine, DuplicatedInvalidationsAreIdempotent) {
 }
 
 TEST(FaultGlobal, GlobalPlanAppliesAndClears) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   ASSERT_EQ(fault::global_fault_plan(), nullptr);
   const Cycle clean = run_with(nullptr, store_loop, 200);
 

@@ -140,7 +140,6 @@ TEST(Verifier, CorruptionDuringRunThrowsInvariantViolation) {
 }
 
 TEST(Watchdog, LivelockedRunThrowsSimHangBeforeMaxCycles) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "built with ARMBAR_FAULT_DISABLED";
   // A drain that is re-postponed with probability 1 never starts, so the
   // DSB below waits forever: live (schedulable) but not progressing.
   fault::FaultPlan plan;

@@ -19,6 +19,7 @@
 
 #include "fuzz/bundle.hpp"
 #include "lockver/harness.hpp"
+#include "runner/arg_parser.hpp"
 
 namespace {
 
@@ -60,6 +61,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto u32 = [&](const char* flag) -> std::uint32_t {
+      std::int64_t v = 0;
+      std::string err;
+      if (!runner::parse_int_option(flag + 2, value(flag), 0, UINT32_MAX, &v,
+                                    &err)) {
+        std::fprintf(stderr, "armbar-lockver: %s\n", err.c_str());
+        std::exit(2);
+      }
+      return static_cast<std::uint32_t>(v);
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
@@ -72,8 +83,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--platform") {
       opts.platforms.push_back(value("--platform"));
     } else if (arg == "--chaos-seeds") {
-      opts.chaos_seeds =
-          static_cast<std::uint32_t>(std::atoi(value("--chaos-seeds")));
+      opts.chaos_seeds = u32("--chaos-seeds");
     } else if (arg == "--no-sim") {
       opts.sim_crosscheck = false;
     } else if (arg == "--out") {

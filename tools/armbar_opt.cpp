@@ -30,6 +30,7 @@
 #include "litmus/shapes.hpp"
 #include "lockver/templates.hpp"
 #include "opt/driver.hpp"
+#include "runner/arg_parser.hpp"
 #include "trace/json_report.hpp"
 
 namespace {
@@ -76,15 +77,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto u32 = [&](const char* flag) -> std::uint32_t {
+      std::int64_t v = 0;
+      std::string err;
+      if (!runner::parse_int_option(flag + 2, value(flag), 0, UINT32_MAX, &v,
+                                    &err)) {
+        std::fprintf(stderr, "armbar-opt: %s\n", err.c_str());
+        std::exit(2);
+      }
+      return static_cast<std::uint32_t>(v);
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
     } else if (arg == "--locks") {
       locks = true;
     } else if (arg == "--fuzz") {
-      fuzz_n = static_cast<std::uint32_t>(std::atoi(value("--fuzz")));
+      fuzz_n = u32("--fuzz");
     } else if (arg == "--seed") {
-      seeds.push_back(static_cast<std::uint32_t>(std::atoi(value("--seed"))));
+      seeds.push_back(u32("--seed"));
     } else if (arg == "--pass") {
       opts.passes.push_back(value("--pass"));
     } else if (arg == "--naive") {
