@@ -43,8 +43,8 @@ inline double cached_run_single(ExperimentContext& ctx,
   key.mix("run_single").mix(spec).mix(prog).mix(iters);
   const trace::Json v = ctx.cached_instrumented(
       key, "run_single " + spec.name + " " + prog.name,
-      [&](trace::Tracer* t) {
-        return trace::Json(simprog::run_single(spec, prog, iters, t));
+      [&](trace::Tracer* t, trace::MetricsRegistry* m) {
+        return trace::Json(simprog::run_single(spec, prog, iters, t, m));
       });
   return v.number();
 }
@@ -59,8 +59,8 @@ inline double cached_run_pair(ExperimentContext& ctx,
       .mix(std::uint32_t{c1});
   const trace::Json v = ctx.cached_instrumented(
       key, "run_pair " + spec.name + " " + prog.name,
-      [&](trace::Tracer* t) {
-        return trace::Json(simprog::run_pair(spec, prog, iters, c0, c1, t));
+      [&](trace::Tracer* t, trace::MetricsRegistry* m) {
+        return trace::Json(simprog::run_pair(spec, prog, iters, c0, c1, t, m));
       });
   return v.number();
 }

@@ -9,6 +9,10 @@
 #   * a cold-vs-warm armbar-bench pair against a fresh cache dir, asserting
 #     the warm (fully memoized) re-run finishes in < 20% of the cold wall
 #     time;
+#   * the same filter warm with --json: every point must come from the
+#     cache (cache_point_hits == sim_points per experiment, so observing a
+#     run re-simulates nothing), and the cached counters and histograms must
+#     equal a --no-cache --json run's;
 #   * a consolidated multi-experiment --json report validated by
 #     report_check;
 #   * the sim_perf budget experiment: host_prof per-phase timings plus
@@ -119,6 +123,34 @@ if [ $(( WARM_MS * 5 )) -ge "$COLD_MS" ]; then
     exit 1
 fi
 echo "warm-cache gate OK (warm < 20% of cold)"
+
+echo "== warm --json run (metrics read from the cache, nothing re-simulated) =="
+# Deterministic checks only: a warm --json run of this filter takes ~10 ms,
+# too short for a meaningful wall-clock ratio.
+"$BENCH" --filter "$GATE_FILTER" --jobs "$(nproc)" --cache-dir "$CACHE_DIR" \
+    --json="$SMOKE_DIR/warm-json.report.json" > /dev/null
+"$BENCH" --filter "$GATE_FILTER" --jobs "$(nproc)" --no-cache \
+    --json="$SMOKE_DIR/nocache-json.report.json" > /dev/null
+python3 - "$SMOKE_DIR/warm-json.report.json" \
+    "$SMOKE_DIR/nocache-json.report.json" <<'EOF'
+import json, sys
+warm = json.load(open(sys.argv[1]))
+fresh = json.load(open(sys.argv[2]))
+m = warm["metrics"]
+points = {k[:-len("/sim_points")]: v for k, v in m.items()
+          if k.endswith("/sim_points")}
+assert points, "warm --json report carries no sim_points"
+resim = sorted(e for e, n in points.items() if m[e + "/cache_point_hits"] != n)
+assert not resim, f"warm --json run re-simulated points of {resim}"
+host = ("/wall_ms", "/cache_point_hits")
+observed = lambda d: ({k: v for k, v in d["metrics"].items()
+                       if not k.endswith(host)}, d["histograms"])
+assert warm["histograms"], "warm --json report carries no histograms"
+assert observed(warm) == observed(fresh), \
+    "cached counters/histograms differ from a --no-cache --json run"
+print(f"warm --json OK ({sum(points.values()):.0f} points, all cache hits; "
+      f"{len(warm['histograms'])} histograms equal a --no-cache run's)")
+EOF
 
 echo "== consolidated report (--filter 'table*' --json) =="
 "$BENCH" --filter 'table*' --jobs "$(nproc)" --cache-dir "$CACHE_DIR" \

@@ -17,6 +17,7 @@ const char* phase_name(Phase p) {
     case Phase::kFuzzGenerate: return "fuzz.generate";
     case Phase::kFuzzDiff: return "fuzz.diff";
     case Phase::kBenchNullLoop: return "bench.null_loop";
+    case Phase::kCacheLookup: return "cache.lookup";
   }
   return "?";
 }

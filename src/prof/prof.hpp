@@ -49,8 +49,9 @@ enum class Phase : std::uint8_t {
   kFuzzGenerate,   ///< fuzz seed -> program generation
   kFuzzDiff,       ///< differential run (model + platform sweep)
   kBenchNullLoop,  ///< sim_perf's null-interpreter calibration loop
+  kCacheLookup,    ///< ResultCache::lookup: entry read, parse, metrics decode
 };
-inline constexpr std::size_t kNumPhases = 9;
+inline constexpr std::size_t kNumPhases = 10;
 const char* phase_name(Phase p);
 
 /// Process-wide monotonic counters (merged across threads at snapshot).

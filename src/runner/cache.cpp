@@ -9,6 +9,18 @@
 
 namespace armbar::runner {
 
+namespace {
+
+/// Parse an entry's metrics text into *out; false when absent or malformed.
+bool decode_metrics(const std::string& text, trace::MetricsRegistry* out) {
+  if (text.empty()) return false;
+  std::string err;
+  const trace::Json j = trace::Json::parse(text, &err);
+  return err.empty() && trace::MetricsRegistry::from_json(j, out);
+}
+
+}  // namespace
+
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   if (!dir_.empty()) {
     std::error_code ec;
@@ -22,46 +34,73 @@ std::string ResultCache::path_of(const std::string& key_hex) const {
   return dir_ + "/" + key_hex + ".json";
 }
 
-std::optional<trace::Json> ResultCache::lookup(const std::string& key_hex) {
-  if (!enabled()) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = mem_.find(key_hex); it != mem_.end()) {
-    ++stats_.hits;
-    ARMBAR_PROF_COUNT(kCacheHits, 1);
-    return it->second;
-  }
-  std::ifstream in(path_of(key_hex), std::ios::binary);
+std::optional<ResultCache::Entry> ResultCache::read_entry(
+    const std::string& path, bool* missing) {
+  std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
-    ++stats_.misses;
-    ARMBAR_PROF_COUNT(kCacheMisses, 1);
+    *missing = true;
     return std::nullopt;
   }
   std::stringstream buf;
   buf << in.rdbuf();
   std::string err;
-  const trace::Json doc = trace::Json::parse(buf.str(), &err);
+  trace::Json doc = trace::Json::parse(buf.str(), &err);
   const trace::Json* schema = doc.find("schema");
   const trace::Json* epoch = doc.find("epoch");
-  const trace::Json* value = doc.find("value");
+  trace::Json* value = doc.find_mut("value");
   if (!err.empty() || schema == nullptr || !schema->is_string() ||
       schema->str() != kCacheEntrySchema || epoch == nullptr ||
-      !epoch->is_string() || epoch->str() != kCacheEpoch || value == nullptr) {
-    // Corrupt or stale-schema entry: treat as a miss (and count the
-    // eviction); the fresh result will overwrite it.
+      !epoch->is_string() || epoch->str() != kCacheEpoch || value == nullptr)
+    return std::nullopt;
+  Entry e;
+  e.value = std::move(*value);
+  if (const trace::Json* metrics = doc.find("metrics"))
+    e.metrics = metrics->dump();
+  return e;
+}
+
+std::optional<trace::Json> ResultCache::lookup(const std::string& key_hex,
+                                               trace::MetricsRegistry* metrics) {
+  if (!enabled()) return std::nullopt;
+  // A fully cached run spends its time here; without this phase its
+  // --profile report would have counters but no phase to explain them.
+  ARMBAR_PROF_SCOPE(kCacheLookup);
+  std::optional<Entry> entry;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = mem_.find(key_hex); it != mem_.end()) entry = it->second;
+  }
+  const bool in_memory = entry.has_value();
+  bool missing = false;
+  // Read and parse outside the lock, so concurrent workers' lookups overlap
+  // instead of queueing behind each other's file I/O.
+  if (!in_memory) entry = read_entry(path_of(key_hex), &missing);
+  const bool usable =
+      entry.has_value() &&
+      (metrics == nullptr || decode_metrics(entry->metrics, metrics));
+
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!usable) {
+    // Absent, or a corrupt or stale entry (counted as an eviction); the
+    // fresh result will overwrite it.
     ++stats_.misses;
-    ++stats_.evictions;
     ARMBAR_PROF_COUNT(kCacheMisses, 1);
-    ARMBAR_PROF_COUNT(kCacheEvictions, 1);
+    if (!missing) {
+      ++stats_.evictions;
+      ARMBAR_PROF_COUNT(kCacheEvictions, 1);
+    }
     return std::nullopt;
   }
-  mem_[key_hex] = *value;
+  // Another worker may have read the same entry meanwhile; keep the first.
+  if (!in_memory) mem_.try_emplace(key_hex, *entry);
   ++stats_.hits;
   ARMBAR_PROF_COUNT(kCacheHits, 1);
-  return *value;
+  return std::move(entry->value);
 }
 
 void ResultCache::store(const std::string& key_hex, const std::string& desc,
-                        const trace::Json& value) {
+                        const trace::Json& value,
+                        const trace::MetricsRegistry* metrics) {
   if (!enabled()) return;
   trace::Json doc = trace::Json::object();
   doc.set("schema", kCacheEntrySchema);
@@ -69,10 +108,16 @@ void ResultCache::store(const std::string& key_hex, const std::string& desc,
   doc.set("key", key_hex);
   doc.set("desc", desc);
   doc.set("value", value);
+  Entry e{value, ""};
+  if (metrics != nullptr) {
+    trace::Json m = metrics->to_json();
+    e.metrics = m.dump();
+    doc.set("metrics", std::move(m));
+  }
   const std::string text = doc.dump(1) + "\n";
 
   std::lock_guard<std::mutex> lock(mu_);
-  mem_[key_hex] = value;
+  mem_[key_hex] = std::move(e);
   ++stats_.stores;
   ARMBAR_PROF_COUNT(kCacheStores, 1);
   const std::string path = path_of(key_hex);

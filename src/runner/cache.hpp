@@ -3,13 +3,19 @@
 // Each independent sweep point is deterministic: (platform fingerprint,
 // program hash, run config) fully determines the result. The cache maps
 // that 128-bit key to the result's JSON value, one file per entry under
-// `.armbar-cache/` (schema armbar.cache.entry/v1):
+// `.armbar-cache/` (schema armbar.cache.entry/v2):
 //
-//   { "schema": "armbar.cache.entry/v1",
-//     "epoch":  "<kCacheEpoch>",
-//     "key":    "<32 hex chars>",
-//     "desc":   "pair platform=kunpeng916 prog=store-store/DMB full ...",
-//     "value":  <arbitrary JSON> }
+//   { "schema":  "armbar.cache.entry/v2",
+//     "epoch":   "<kCacheEpoch>",
+//     "key":     "<32 hex chars>",
+//     "desc":    "pair platform=kunpeng916 prog=store-store/DMB full ...",
+//     "value":   <arbitrary JSON>,
+//     "metrics": <MetricsRegistry::to_json> }   // instrumentable points only
+//
+// An instrumentable point (one that runs a Machine) stores the counters and
+// latency histograms its run recorded next to its value, so a report that
+// wants them reads them back instead of re-simulating. They depend on the
+// same inputs as the value and stay out of the points digest.
 //
 // Keys content-address the *inputs*, not the simulator build, so
 // kCacheEpoch is mixed into every key and must be bumped whenever the
@@ -17,8 +23,9 @@
 // fingerprint.cpp points here when the latency table grows).
 //
 // Thread-safe: workers of the experiment pool hit it concurrently. An
-// in-memory map fronts the directory, and writes go through a temp file +
-// rename so a crashed run never leaves a torn entry behind.
+// in-memory map fronts the directory; lookups read and parse entry files
+// outside the lock, and writes go through a temp file + rename so a crashed
+// run never leaves a torn entry behind.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +35,13 @@
 #include <string>
 
 #include "trace/json.hpp"
+#include "trace/metrics.hpp"
 
 namespace armbar::runner {
 
-inline constexpr const char* kCacheEntrySchema = "armbar.cache.entry/v1";
+/// v2 added the optional "metrics" member; a v1 entry is stale (an
+/// eviction) and gets recomputed.
+inline constexpr const char* kCacheEntrySchema = "armbar.cache.entry/v2";
 
 /// Bump when the behaviour baked into cached values changes — the
 /// simulator's timing model (new latency fields, scheduler fixes, ...),
@@ -61,12 +71,18 @@ class ResultCache {
   const std::string& dir() const { return dir_; }
 
   /// Hit: the cached value. Miss (or disabled/corrupt entry): nullopt.
-  std::optional<trace::Json> lookup(const std::string& key_hex);
+  /// A non-null `metrics` asks for the point's stored metrics too: on a hit
+  /// they replace *metrics, and an entry stored without them is stale (a
+  /// miss and an eviction).
+  std::optional<trace::Json> lookup(const std::string& key_hex,
+                                    trace::MetricsRegistry* metrics = nullptr);
 
-  /// Persist `value` under `key_hex`. `desc` is a human-readable rendering
-  /// of the key's inputs, stored for cache debugging only.
+  /// Persist `value` under `key_hex`, with the run's `metrics` when the
+  /// point records them. `desc` is a human-readable rendering of the key's
+  /// inputs, stored for cache debugging only.
   void store(const std::string& key_hex, const std::string& desc,
-             const trace::Json& value);
+             const trace::Json& value,
+             const trace::MetricsRegistry* metrics = nullptr);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -81,9 +97,19 @@ class ResultCache {
  private:
   std::string path_of(const std::string& key_hex) const;
 
+  struct Entry {
+    trace::Json value;
+    /// Compact MetricsRegistry::to_json text, empty when absent. Text, not
+    /// a parsed DOM: ~0.7 KB a point instead of ~9 KB, which a cold sweep
+    /// holding every entry in memory would otherwise pay.
+    std::string metrics;
+  };
+  static std::optional<Entry> read_entry(const std::string& path,
+                                         bool* missing);
+
   std::string dir_;
   mutable std::mutex mu_;
-  std::map<std::string, trace::Json> mem_;
+  std::map<std::string, Entry> mem_;
   Stats stats_;
 };
 

@@ -197,6 +197,10 @@ EngineResult Engine::run() {
     report.add_param("cache", cache.enabled() ? opts_.cache_dir : "off");
   }
 
+  // --json and --trace reports carry each experiment's counters and
+  // histograms; other runs never merge them.
+  const bool report_metrics = opts_.collect_metrics || opts_.trace;
+
   DegradationScope degradation(opts_);
   if (opts_.fault.enabled())
     std::printf("fault injection: %s\n\n", opts_.fault.describe().c_str());
@@ -261,17 +265,13 @@ EngineResult Engine::run() {
 
       for (std::uint32_t rep = 0; rep < reps; ++rep) {
         metrics = std::make_unique<trace::MetricsRegistry>();
-        if (opts_.trace) {
-          tracer = std::make_unique<trace::Tracer>();
-          tracer->set_metrics(metrics.get());
-        }
+        if (opts_.trace) tracer = std::make_unique<trace::Tracer>();
         ExperimentContext::Hooks hooks;
         hooks.pool = pool.get();
         hooks.cache = &cache;
         hooks.tracer = tracer.get();
-        hooks.metrics = metrics.get();
+        hooks.metrics = report_metrics ? metrics.get() : nullptr;
         hooks.jobs = jobs;
-        hooks.collect_metrics = opts_.collect_metrics;
         if (opts_.timeout_ms > 0) {
           hooks.has_deadline = true;
           hooks.deadline = std::chrono::steady_clock::now() +
@@ -395,7 +395,7 @@ EngineResult Engine::run() {
     report.add_metric(kp + "sim_points", static_cast<double>(out.points));
     report.add_metric(kp + "cache_point_hits",
                       static_cast<double>(out.cache_hits));
-    if (tracer != nullptr || opts_.collect_metrics) {
+    if (report_metrics) {
       if (single) {
         report.add_registry(*metrics);
       } else {

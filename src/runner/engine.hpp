@@ -28,7 +28,7 @@ struct EngineOptions {
   std::uint32_t repeat = 1;  ///< run each experiment N times (determinism)
   bool cache_enabled = true;
   std::string cache_dir = ".armbar-cache";
-  bool collect_metrics = false;  ///< --json: instrument runs for histograms
+  bool collect_metrics = false;  ///< --json: report counters + histograms
   bool trace = false;            ///< --trace: shared tracer, serial
   std::string trace_path;        ///< empty => "<name>.trace.json" per match
 

@@ -132,13 +132,15 @@ Fingerprint ExperimentContext::key() {
 trace::Json ExperimentContext::cached(
     const Fingerprint& key, const std::string& desc,
     const std::function<trace::Json()>& compute) {
-  return cached_impl(key, desc, /*instrumentable=*/false,
-                     [&](trace::Tracer*) { return compute(); });
+  return cached_impl(
+      key, desc, /*instrumentable=*/false,
+      [&](trace::Tracer*, trace::MetricsRegistry*) { return compute(); });
 }
 
 trace::Json ExperimentContext::cached_instrumented(
     const Fingerprint& key, const std::string& desc,
-    const std::function<trace::Json(trace::Tracer*)>& compute) {
+    const std::function<trace::Json(trace::Tracer*, trace::MetricsRegistry*)>&
+        compute) {
   return cached_impl(key, desc, /*instrumentable=*/true, compute);
 }
 
@@ -166,47 +168,29 @@ bool has_prof_field(const trace::Json& v) {
 
 trace::Json ExperimentContext::cached_impl(
     const Fingerprint& key, const std::string& desc, bool instrumentable,
-    const std::function<trace::Json(trace::Tracer*)>& fn) {
+    const std::function<trace::Json(trace::Tracer*, trace::MetricsRegistry*)>&
+        fn) {
   // Graceful degradation gates, checked before any simulation is built.
   // Both throws travel through the pool back to the experiment's caller.
   if (hooks_.interrupted != nullptr && *hooks_.interrupted != 0)
     throw ExperimentInterrupted{};
   if (hooks_.has_deadline && std::chrono::steady_clock::now() > hooks_.deadline)
     throw ExperimentTimeout{"experiment exceeded its wall-clock budget"};
-  // Instrumented points skip cache lookups: the point must actually run for
-  // its events/histograms to exist. Timing is tracer-independent, so the
-  // value (and the digest) is the same either way, and the fresh result is
-  // still stored for future uninstrumented runs.
-  const bool instrumented =
-      instrumentable && (hooks_.tracer != nullptr || hooks_.collect_metrics);
+  // One rule: look the point up unless it is traced. The value, counters
+  // and histograms all live in the cache entry; only a ring trace needs a
+  // real run. Timing is observer-independent, so the value (and the
+  // digest) is the same either way.
+  trace::Tracer* tracer = instrumentable ? hooks_.tracer : nullptr;
+  trace::MetricsRegistry local;
+  trace::MetricsRegistry* metrics = instrumentable ? &local : nullptr;
   const std::string hex = key.hex();
-  bool hit = false;
-  trace::Json value;
-  if (hooks_.cache != nullptr && !instrumented) {
-    if (auto v = hooks_.cache->lookup(hex)) {
-      hit = true;
-      value = std::move(*v);
-    }
-  }
-  if (!hit) {
-    if (hooks_.tracer != nullptr && instrumentable) {
-      // --trace: the engine forced jobs=1, so the shared ring is safe.
-      value = fn(hooks_.tracer);
-    } else if (instrumented) {
-      // --json at any job count: per-point tracer feeding a local registry,
-      // merged under the lock below. The ring contents are discarded — only
-      // the metrics matter here.
-      trace::MetricsRegistry local;
-      trace::Tracer t(/*capacity=*/1024);
-      t.set_metrics(&local);
-      value = fn(&t);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (hooks_.metrics != nullptr) hooks_.metrics->merge(local);
-    } else {
-      value = fn(nullptr);
-    }
-    if (hooks_.cache != nullptr) hooks_.cache->store(hex, desc, value);
-  }
+  std::optional<trace::Json> found;
+  if (hooks_.cache != nullptr && tracer == nullptr)
+    found = hooks_.cache->lookup(hex, metrics);
+  const bool hit = found.has_value();
+  trace::Json value = hit ? std::move(*found) : fn(tracer, metrics);
+  if (!hit && hooks_.cache != nullptr)
+    hooks_.cache->store(hex, desc, value, metrics);
   Fingerprint pd = key;
   pd.mix(value.dump());
   const bool leaked = has_prof_field(value);
@@ -216,6 +200,8 @@ trace::Json ExperimentContext::cached_impl(
     ++points_;
     if (hit) ++point_hits_;
     if (leaked) prof_digest_leak_ = true;
+    if (metrics != nullptr && hooks_.metrics != nullptr)
+      hooks_.metrics->merge(local);
   }
   return value;
 }

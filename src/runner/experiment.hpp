@@ -14,6 +14,9 @@
 //   * ctx.map(n, fn)  — run fn(0..n-1) host-parallel, results returned in
 //     index order regardless of scheduling (deterministic sweep order);
 //   * ctx.cached(...) — content-addressed memoization of one sweep point;
+//     ctx.cached_instrumented(...) also memoizes the counters and latency
+//     histograms of the point's Machine run, so a --json report reads them
+//     from the cache instead of re-simulating;
 //   * ctx.check/param/metric — the report surface the old BenchRun had.
 //
 // Registration is static-init into Registry::global(); the experiment
@@ -96,12 +99,11 @@ class ExperimentContext {
     ThreadPool* pool = nullptr;            // null => serial
     ResultCache* cache = nullptr;          // null => uncached
     trace::Tracer* tracer = nullptr;       // non-null only under --trace
+    /// Non-null when the report wants metrics (--json, --trace): every
+    /// instrumentable point's counters and histograms, computed or read
+    /// from the cache, are merged into it.
     trace::MetricsRegistry* metrics = nullptr;
     std::size_t jobs = 1;
-    /// --json: instrumentable points run with a per-point tracer feeding a
-    /// local registry that is merged into `metrics` (parallel-safe), and
-    /// skip cache lookups so the histograms always reflect a real run.
-    bool collect_metrics = false;
     /// --timeout-ms: sweep points starting after this instant throw
     /// ExperimentTimeout. Checked at point granularity — a point already
     /// simulating is never torn down mid-machine (the watchdog bounds its
@@ -118,11 +120,6 @@ class ExperimentContext {
 
   const ExperimentSpec& spec() const { return spec_; }
   std::size_t jobs() const { return hooks_.jobs; }
-
-  /// Non-null only when the engine traces (which forces serial execution —
-  /// the tracer's ring is single-writer). Pass to Machine runs.
-  trace::Tracer* tracer() { return hooks_.tracer; }
-  trace::MetricsRegistry& metrics() { return *hooks_.metrics; }
 
   /// True once the engine latched SIGINT/SIGTERM. Long-running bodies that
   /// wait outside cached() — the shm service fleets supervise real child
@@ -201,14 +198,18 @@ class ExperimentContext {
   trace::Json cached(const Fingerprint& key, const std::string& desc,
                      const std::function<trace::Json()>& compute);
 
-  /// Variant for points whose simulation accepts a tracer (run_single /
-  /// run_pair). Under --trace the shared serial tracer is passed; under
-  /// --json a fresh per-point tracer records into a local registry merged
-  /// into the experiment's (so latency histograms survive --jobs > 1);
-  /// otherwise compute(nullptr). Instrumented points skip cache lookups.
+  /// Variant for points that run a Machine (run_single / run_pair):
+  /// compute(tracer, metrics) passes both to its RunConfig. `metrics` is
+  /// always a fresh per-point registry: its counters and histograms are
+  /// stored in the cache entry next to the value, a hit reads them back,
+  /// and either way they are merged into the experiment's registry when
+  /// the report wants them (safe at any --jobs). `tracer` is the shared
+  /// serial tracer under --trace, else null; only a traced point skips the
+  /// cache lookup, because its ring events need a real run.
   trace::Json cached_instrumented(
       const Fingerprint& key, const std::string& desc,
-      const std::function<trace::Json(trace::Tracer*)>& compute);
+      const std::function<trace::Json(trace::Tracer*, trace::MetricsRegistry*)>&
+          compute);
 
   /// Seed a fingerprint with the cache epoch (every key must start here).
   /// A process-global fault plan (runner chaos mode) is mixed in too, so
@@ -244,9 +245,10 @@ class ExperimentContext {
   bool prof_digest_leak() const { return prof_digest_leak_; }
 
  private:
-  trace::Json cached_impl(const Fingerprint& key, const std::string& desc,
-                          bool instrumentable,
-                          const std::function<trace::Json(trace::Tracer*)>& fn);
+  trace::Json cached_impl(
+      const Fingerprint& key, const std::string& desc, bool instrumentable,
+      const std::function<trace::Json(trace::Tracer*, trace::MetricsRegistry*)>&
+          fn);
 
   const ExperimentSpec& spec_;
   Hooks hooks_;

@@ -1,6 +1,5 @@
 #include "runner/thread_pool.hpp"
 
-#include <atomic>
 #include <exception>
 #include <stdexcept>
 
@@ -8,14 +7,23 @@ namespace armbar::runner {
 
 struct ThreadPool::Job {
   const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<std::size_t> done{0};
   std::size_t total = 0;
   std::mutex err_mu;
   std::exception_ptr err;     // first *task* exception (guarded by err_mu)
   bool cancelled = false;     // some tasks never ran (guarded by err_mu)
-  std::condition_variable done_cv;
   std::mutex done_mu;
+  std::size_t done = 0;       // tasks run or cancelled (guarded by done_mu)
+  std::condition_variable done_cv;
 };
+
+void ThreadPool::finish_task(Job& job) {
+  // The count moves under done_mu: the Job lives on the waiter's stack, and
+  // the waiter returns (destroying it) as soon as it sees the final count.
+  // A count bumped outside the lock could be seen while its finisher,
+  // preempted before locking, still had to lock and notify through the Job.
+  std::lock_guard<std::mutex> lock(job.done_mu);
+  if (++job.done == job.total) job.done_cv.notify_all();
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
@@ -93,10 +101,7 @@ void ThreadPool::run_task(const Task& t) {
     std::lock_guard<std::mutex> lock(job.err_mu);
     if (!job.err) job.err = std::current_exception();
   }
-  if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.total) {
-    std::lock_guard<std::mutex> lock(job.done_mu);
-    job.done_cv.notify_all();
-  }
+  finish_task(job);
 }
 
 void ThreadPool::cancel_task(const Task& t) {
@@ -105,10 +110,7 @@ void ThreadPool::cancel_task(const Task& t) {
     std::lock_guard<std::mutex> lock(job.err_mu);
     job.cancelled = true;
   }
-  if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.total) {
-    std::lock_guard<std::mutex> lock(job.done_mu);
-    job.done_cv.notify_all();
-  }
+  finish_task(job);
 }
 
 void ThreadPool::worker_loop(std::size_t id) {
@@ -168,9 +170,7 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   {
     std::unique_lock<std::mutex> lock(job.done_mu);
-    job.done_cv.wait(lock, [&] {
-      return job.done.load(std::memory_order_acquire) == job.total;
-    });
+    job.done_cv.wait(lock, [&] { return job.done == job.total; });
   }
   // A real task exception outranks the cancellation error: if a task threw
   // while the pool was shutting down, that failure must reach the waiter.

@@ -71,6 +71,9 @@ class ThreadPool {
   bool is_shutdown();
   static void run_task(const Task& t);
   static void cancel_task(const Task& t);
+  /// Count one task of `job` as finished (run or cancelled); the last one
+  /// wakes the parallel_for waiter.
+  static void finish_task(Job& job);
   void worker_loop(std::size_t id);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

@@ -126,6 +126,8 @@ void Core::pump_store_buffer(Cycle now) {
       retire_drain(e);
       ARMBAR_TRACE(tracer_,
                    sb_drain_retire(id_, e.seq, e.enqueued_at, e.drain_done));
+      if (hist_ != nullptr)
+        hist_->sb_residency.add(e.drain_done - e.enqueued_at);
       ++stats_.sb_retired;
     } else {
       if (kept != i) sb_[kept] = e;
@@ -181,6 +183,8 @@ void Core::pump_store_buffer(Cycle now) {
           w.max_done + txn + ARMBAR_FAULT_CYCLES(fault_, barrier_spike(id_));
       ARMBAR_TRACE(tracer_,
                    barrier_txn(id_, code(Op::kDmbSt), w.max_done, store_gate_ready_));
+      if (hist_ != nullptr)
+        hist_->barrier_txn.add(store_gate_ready_ - w.max_done);
       ARMBAR_TRACE(tracer_, store_gate_open(id_, store_gate_ready_));
       w.active = false;
       store_gate_watch_ = -1;
@@ -279,6 +283,10 @@ bool Core::check_blocking_barrier(Cycle now) {
   ARMBAR_TRACE(tracer_, barrier_txn(id_, code(b.kind), done_at, complete));
   ARMBAR_TRACE(tracer_, barrier_complete(id_, b.pc, code(b.kind),
                                          cyc_min(b.block_from, now), complete));
+  if (hist_ != nullptr) {
+    hist_->barrier_txn.add(complete - done_at);
+    hist_->barrier_complete.add(complete - cyc_min(b.block_from, now));
+  }
   barrier_.reset();
   stall(now, complete, StallCause::kBarrier);
   return true;
@@ -568,6 +576,7 @@ void Core::issue(Cycle now) {
       stall(now, now + lat_.pipeline_flush, StallCause::kBarrier);
       ARMBAR_TRACE(tracer_, barrier_complete(id_, ins_pc, code(u.op), now,
                                              now + lat_.pipeline_flush));
+      if (hist_ != nullptr) hist_->barrier_complete.add(lat_.pipeline_flush);
       ++stats_.barriers;
       ++pc_;
       break;

@@ -74,8 +74,9 @@ enum class StallCause : std::uint8_t {
 };
 
 const char* to_string(StallCause c);
-/// All cause names in code order — installed on tracers so metric keys and
-/// Chrome-trace lanes carry names instead of codes.
+/// All cause names in code order — installed on tracers so Chrome-trace
+/// lanes carry names instead of codes. The stall_cycles.<cause> metric keys
+/// use the same names.
 std::vector<std::string> stall_cause_names();
 
 struct CoreStats {
@@ -127,13 +128,15 @@ class Core {
  private:
   // Tracer attachment goes through Machine::set_tracer() — the single
   // attach point — so a core can never trace with stale stall-cause names
-  // or diverge from the rest of the machine. Fault engines follow the same
-  // pattern (Machine::run is the only installer), and MachineVerifier reads
-  // the private order state to check invariants.
+  // or diverge from the rest of the machine. Fault engines and metric
+  // histograms follow the same pattern (Machine::run is the only
+  // installer), and MachineVerifier reads the private order state to check
+  // invariants.
   friend class Machine;
   friend class MachineVerifier;
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
+  void set_histograms(CoreHistograms* h) { hist_ = h; }
 
   // ---- the stepping interface (ISSUE 7) ----
   // Machine's scheduler is the only driver of simulated time. Everything it
@@ -284,6 +287,7 @@ class Core {
 
   trace::Tracer* tracer_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
+  CoreHistograms* hist_ = nullptr;  ///< non-null only while recording metrics
   CoreStats stats_;
 };
 

@@ -1,12 +1,37 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.hpp"
 #include "prof/prof.hpp"
 #include "sim/verify.hpp"
 
 namespace armbar::sim {
+namespace {
+
+/// Fold one core's finished run into `reg`: its CoreStats as counters and
+/// the histograms its hook sites fed. Zero counters and empty histograms
+/// record nothing, so the registry holds only what the run exercised.
+void record_core(trace::MetricsRegistry& reg, CoreId c, const CoreStats& s,
+                 const CoreHistograms& h) {
+  namespace metric = trace::metric;
+  reg.inc(metric::kInstrs, c, s.instructions);
+  reg.inc(metric::kBarriers, c, s.barriers);
+  reg.inc(metric::kSquashes, c, s.squashes);
+  for (int k = 0; k < static_cast<int>(StallCause::kCount); ++k)
+    if (s.stall_cycles[k] != 0)
+      reg.inc(std::string(metric::kStallPrefix) +
+                  to_string(static_cast<StallCause>(k)),
+              c, s.stall_cycles[k]);
+  reg.merge(metric::kBarrierComplete, c, h.barrier_complete);
+  reg.merge(metric::kBarrierTxn, c, h.barrier_txn);
+  reg.merge(metric::kSbResidency, c, h.sb_residency);
+  reg.merge(metric::kCohTransfer, c, h.coh_transfer);
+  reg.merge(metric::kRemoteInv, c, h.remote_inv);
+}
+
+}  // namespace
 
 Machine::Machine(PlatformSpec spec, std::size_t mem_bytes)
     : spec_(std::move(spec)),
@@ -104,6 +129,19 @@ RunResult Machine::run(const RunConfig& cfg) {
       live.push_back(cores_[c].get());
       live_ids.push_back(c);
     }
+
+  // Metrics: histograms for live cores only, so a two-core run on the
+  // 64-core preset allocates two sets. Counters need no hook at all: they
+  // are CoreStats, folded in after the loop.
+  if (cfg.metrics != nullptr) {
+    hists_.resize(live.size());
+    std::vector<CoreHistograms*> by_core(num_cores(), nullptr);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      by_core[live_ids[i]] = &hists_[i];
+      live[i]->set_histograms(&hists_[i]);
+    }
+    mem_->set_histograms(std::move(by_core));
+  }
 
   const Cycle verify_every =
       cfg.verify_every != 0 ? cfg.verify_every : global_verify_every();
@@ -209,6 +247,9 @@ RunResult Machine::run(const RunConfig& cfg) {
   }
   res.cycles = res.completed ? end : max_cycles;
   res.mem = mem_->stats();
+  if (cfg.metrics != nullptr)
+    for (std::size_t i = 0; i < live.size(); ++i)
+      record_core(*cfg.metrics, live_ids[i], live[i]->stats(), hists_[i]);
   if (prof::enabled()) {
     std::uint64_t instrs = 0;
     for (const CoreStats& s : res.cores) instrs += s.instructions;

@@ -43,6 +43,13 @@ struct RunConfig {
   /// When non-null, attached via Machine::set_tracer() — the single attach
   /// point — before the run starts. Recording only; timing is unaffected.
   trace::Tracer* tracer = nullptr;
+  /// When non-null, the run records its metrics here (added to what the
+  /// registry already holds): the five latency histograms of
+  /// trace::metric, fed straight from the core and coherence hook sites,
+  /// and the instruction, barrier, squash and stall_cycles.<cause>
+  /// counters, folded in from CoreStats when the run returns. Needs no
+  /// tracer, and timing is unaffected. A run that throws records nothing.
+  trace::MetricsRegistry* metrics = nullptr;
   enum class Stats : std::uint8_t {
     kKeep,            ///< counters keep accumulating (default)
     kResetBeforeRun,  ///< reset_stats() first: measure a clean window
@@ -98,8 +105,8 @@ class Machine {
 
   /// THE tracer attach point: fans one tracer out to every core and the
   /// memory system (their setters are private — this is the only way in).
-  /// Also installs the stall-cause display names so metric keys and exports
-  /// read "stall_cycles.barrier" instead of a code. Detach with nullptr.
+  /// Also installs the stall-cause display names so exports read
+  /// "barrier" instead of a code. Detach with nullptr.
   void set_tracer(trace::Tracer* t);
 
   /// Zero every per-core counter and the coherence-traffic counters.
@@ -128,6 +135,9 @@ class Machine {
   std::vector<bool> active_;
   AttentionQueue sched_;  ///< per-core next-attention slots + lazy min-heap
   std::unique_ptr<fault::FaultEngine> fault_engine_;
+  /// One per program-bearing core, allocated by run() only when it records
+  /// metrics; the cores and the memory system hold pointers into it.
+  std::vector<CoreHistograms> hists_;
   trace::Tracer* tracer_ = nullptr;  ///< last attached (diagnostic ring tail)
   bool ran_ = false;
 };

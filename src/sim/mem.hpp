@@ -39,6 +39,7 @@
 
 #include "common/types.hpp"
 #include "sim/platform.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace armbar::sim {
@@ -74,6 +75,19 @@ struct MemStats {
   std::uint64_t mem_fills = 0;     ///< fills straight from memory
   std::uint64_t upgrades = 0;      ///< S->M upgrades
   std::uint64_t hits = 0;          ///< requests satisfied without a transfer
+};
+
+/// The latency histograms one core feeds while its run records metrics
+/// (RunConfig::metrics). Machine::run allocates one per program-bearing core
+/// and folds them into the registry under the trace::metric names once the
+/// run ends; the Core feeds the barrier and store-buffer ones, the
+/// MemorySystem the coherence ones.
+struct CoreHistograms {
+  trace::Histogram barrier_complete;  ///< blocking barrier / ISB block span
+  trace::Histogram barrier_txn;       ///< ACE barrier transaction round trip
+  trace::Histogram sb_residency;      ///< store-buffer enqueue to retire
+  trace::Histogram coh_transfer;      ///< every coherence transfer
+  trace::Histogram remote_inv;        ///< cross-node ownership transfers
 };
 
 /// The shared memory + coherence fabric of one simulated machine.
@@ -153,12 +167,18 @@ class MemorySystem {
 
  private:
   // Tracer attachment goes through Machine::set_tracer() (single attach
-  // point); see the note on Core::set_tracer. Fault engines follow the
-  // same pattern, and MachineVerifier scans the resident pages.
+  // point); see the note on Core::set_tracer. Fault engines and metric
+  // histograms follow the same pattern, and MachineVerifier scans the
+  // resident pages.
   friend class Machine;
   friend class MachineVerifier;
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
+  /// Indexed by core id; null for cores without a program.
+  void set_histograms(std::vector<CoreHistograms*> by_core) {
+    hist_ = std::move(by_core);
+  }
+  void record_transfer(CoreId core, trace::CohKind kind, Cycle cycles);
 
   static constexpr std::size_t kPageBytes = 4096;
   /// One page of backing store: its words and its lines' coherence state.
@@ -186,6 +206,7 @@ class MemorySystem {
   InvalidateHook inv_hook_;
   trace::Tracer* tracer_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
+  std::vector<CoreHistograms*> hist_;  ///< empty unless recording metrics
   MemStats stats_;
 
   static constexpr std::size_t kHomeGranule = 4096;  ///< home map granularity

@@ -162,12 +162,14 @@ Program make_load_store_model(OrderChoice choice, BarrierLoc loc,
 }
 
 double run_single(const PlatformSpec& spec, const Program& prog,
-                  std::uint32_t iters, trace::Tracer* tracer) {
+                  std::uint32_t iters, trace::Tracer* tracer,
+                  trace::MetricsRegistry* metrics) {
   sim::Machine m(spec, 64u << 20);
   m.load_program(0, prog);
   sim::RunConfig cfg;
   cfg.max_cycles = 2'000'000'000ULL;
   cfg.tracer = tracer;
+  cfg.metrics = metrics;
   auto r = m.run(cfg);
   ARMBAR_CHECK_MSG(r.completed, "abstract model run timed out");
   return sim::RunResult::throughput_per_sec(iters, r.cycles, spec.freq_ghz);
@@ -175,13 +177,14 @@ double run_single(const PlatformSpec& spec, const Program& prog,
 
 double run_pair(const PlatformSpec& spec, const Program& prog,
                 std::uint32_t iters, CoreId c0, CoreId c1,
-                trace::Tracer* tracer) {
+                trace::Tracer* tracer, trace::MetricsRegistry* metrics) {
   sim::Machine m(spec, 64u << 20);
   m.load_program(c0, prog);
   m.load_program(c1, prog);
   sim::RunConfig cfg;
   cfg.max_cycles = 2'000'000'000ULL;
   cfg.tracer = tracer;
+  cfg.metrics = metrics;
   auto r = m.run(cfg);
   ARMBAR_CHECK_MSG(r.completed, "abstract model run timed out");
   return sim::RunResult::throughput_per_sec(iters, r.cycles, spec.freq_ghz);

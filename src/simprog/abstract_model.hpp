@@ -55,16 +55,19 @@ Program make_load_store_model(OrderChoice choice, BarrierLoc loc,
                               Addr buf_a, Addr buf_b);
 
 /// Throughput of a single-core run, in loops per second at the platform
-/// frequency. A non-null `tracer` is attached to the machine for the run
-/// (recording only; throughput is bit-identical either way).
+/// frequency. A non-null `tracer` is attached to the machine for the run,
+/// and a non-null `metrics` registry records its counters and latency
+/// histograms (RunConfig::metrics); throughput is bit-identical either way.
 double run_single(const PlatformSpec& spec, const Program& prog,
-                  std::uint32_t iters, trace::Tracer* tracer = nullptr);
+                  std::uint32_t iters, trace::Tracer* tracer = nullptr,
+                  trace::MetricsRegistry* metrics = nullptr);
 
 /// Throughput with two cores executing `prog` over the same buffers, in
 /// loops per second per core.
 double run_pair(const PlatformSpec& spec, const Program& prog,
                 std::uint32_t iters, CoreId c0, CoreId c1,
-                trace::Tracer* tracer = nullptr);
+                trace::Tracer* tracer = nullptr,
+                trace::MetricsRegistry* metrics = nullptr);
 
 /// Buffer placement used by the models (shared; both threads walk it).
 inline constexpr Addr kBufA = 0x100000;

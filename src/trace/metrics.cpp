@@ -1,6 +1,9 @@
 #include "trace/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <string>
+#include <system_error>
 
 namespace armbar::trace {
 
@@ -41,53 +44,126 @@ HistogramSummary summarize(const Histogram& h) {
 
 namespace {
 
-template <typename Map, typename Value>
-Value& slot(Map& m, std::string_view name, CoreId core) {
+/// Largest integer the double-valued Json DOM holds exactly is 2^53; larger
+/// ones are written as decimal strings.
+constexpr std::uint64_t kExactDouble = 1ULL << 53;
+
+Json u64_json(std::uint64_t v) {
+  if (v < kExactDouble) return Json(static_cast<double>(v));
+  return Json(std::to_string(v));
+}
+
+/// A whole string of decimal digits that fits in 64 bits.
+bool parse_u64(std::string_view s, std::uint64_t* out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && end == s.data() + s.size();
+}
+
+bool u64_of(const Json& j, std::uint64_t* out) {
+  if (j.is_string()) return parse_u64(j.str(), out);
+  if (!j.is_number()) return false;
+  const double d = j.number();
+  if (!(d >= 0) || d >= static_cast<double>(kExactDouble) ||
+      d != static_cast<double>(static_cast<std::uint64_t>(d)))
+    return false;
+  *out = static_cast<std::uint64_t>(d);
+  return true;
+}
+
+/// Object key holding a canonical decimal index below `limit` (a core id
+/// or a bucket number).
+bool index_of(const std::string& key, std::uint64_t limit, std::uint64_t* out) {
+  return parse_u64(key, out) && *out < limit && std::to_string(*out) == key;
+}
+
+/// The per-core map of `name`, created empty on first use.
+template <typename PerCore>
+PerCore& entry(std::map<std::string, PerCore, std::less<>>& m,
+               std::string_view name) {
   auto it = m.find(name);
-  if (it == m.end()) it = m.emplace(std::string(name), typename Map::mapped_type{}).first;
-  auto& per_core = it->second;
-  if (per_core.size() <= core) per_core.resize(core + 1);
-  return per_core[core];
+  if (it == m.end()) it = m.emplace(std::string(name), PerCore{}).first;
+  return it->second;
 }
 
 }  // namespace
 
+Json Histogram::to_json() const {
+  Json j = Json::object();
+  j.set("sum", u64_json(sum_));
+  j.set("min", u64_json(min()));
+  j.set("max", u64_json(max_));
+  Json buckets = Json::object();
+  for (std::size_t i = 0; i < kBuckets; ++i)
+    if (buckets_[i] != 0) buckets.set(std::to_string(i), u64_json(buckets_[i]));
+  j.set("buckets", std::move(buckets));
+  return j;
+}
+
+bool Histogram::from_json(const Json& j, Histogram* out) {
+  const Json* sum = j.find("sum");
+  const Json* min = j.find("min");
+  const Json* max = j.find("max");
+  const Json* buckets = j.find("buckets");
+  Histogram h;
+  if (sum == nullptr || min == nullptr || max == nullptr || buckets == nullptr ||
+      !buckets->is_object() || !u64_of(*sum, &h.sum_) ||
+      !u64_of(*min, &h.min_) || !u64_of(*max, &h.max_))
+    return false;
+  for (const auto& [key, n] : buckets->members()) {
+    std::uint64_t i = 0;
+    std::uint64_t count = 0;
+    if (!index_of(key, kBuckets, &i) || !u64_of(n, &count) || count == 0 ||
+        h.buckets_[i] != 0)
+      return false;
+    h.buckets_[i] = count;
+    h.count_ += count;
+  }
+  if (h.count_ == 0 || h.min_ > h.max_) return false;
+  *out = h;
+  return true;
+}
+
 void MetricsRegistry::inc(std::string_view name, CoreId core, std::uint64_t delta) {
-  slot<decltype(counters_), std::uint64_t>(counters_, name, core) += delta;
+  if (delta != 0) entry(counters_, name)[core] += delta;
 }
 
 void MetricsRegistry::observe(std::string_view name, CoreId core, std::uint64_t value) {
-  slot<decltype(histograms_), Histogram>(histograms_, name, core).add(value);
+  entry(histograms_, name)[core].add(value);
+}
+
+void MetricsRegistry::merge(std::string_view name, CoreId core, const Histogram& h) {
+  if (h.count() != 0) entry(histograms_, name)[core].merge(h);
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   auto it = counters_.find(name);
   if (it == counters_.end()) return 0;
   std::uint64_t total = 0;
-  for (auto v : it->second) total += v;
+  for (const auto& [core, v] : it->second) total += v;
   return total;
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view name, CoreId core) const {
   auto it = counters_.find(name);
-  if (it == counters_.end() || it->second.size() <= core) return 0;
-  return it->second[core];
+  if (it == counters_.end()) return 0;
+  auto c = it->second.find(core);
+  return c == it->second.end() ? 0 : c->second;
 }
 
 Histogram MetricsRegistry::histogram(std::string_view name) const {
   Histogram total;
   auto it = histograms_.find(name);
   if (it == histograms_.end()) return total;
-  for (const auto& h : it->second) total.merge(h);
+  for (const auto& [core, h] : it->second) total.merge(h);
   return total;
 }
 
 const Histogram* MetricsRegistry::histogram(std::string_view name, CoreId core) const {
   auto it = histograms_.find(name);
-  if (it == histograms_.end() || it->second.size() <= core) return nullptr;
-  return it->second[core].count() ? &it->second[core] : nullptr;
+  if (it == histograms_.end()) return nullptr;
+  auto c = it->second.find(core);
+  return c == it->second.end() ? nullptr : &c->second;
 }
-
 std::vector<std::string> MetricsRegistry::counter_names() const {
   std::vector<std::string> out;
   out.reserve(counters_.size());
@@ -108,16 +184,67 @@ void MetricsRegistry::clear() {
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, per_core] : other.counters_) {
-    auto& dst = counters_[name];
-    if (dst.size() < per_core.size()) dst.resize(per_core.size(), 0);
-    for (std::size_t i = 0; i < per_core.size(); ++i) dst[i] += per_core[i];
+  for (const auto& [name, per_core] : other.counters_)
+    for (const auto& [core, v] : per_core) counters_[name][core] += v;
+  for (const auto& [name, per_core] : other.histograms_)
+    for (const auto& [core, h] : per_core) histograms_[name][core].merge(h);
+}
+
+Json MetricsRegistry::to_json() const {
+  Json counters = Json::object();
+  for (const auto& [name, per_core] : counters_) {
+    Json cores = Json::object();
+    for (const auto& [core, v] : per_core)
+      cores.set(std::to_string(core), u64_json(v));
+    counters.set(name, std::move(cores));
   }
-  for (const auto& [name, per_core] : other.histograms_) {
-    auto& dst = histograms_[name];
-    if (dst.size() < per_core.size()) dst.resize(per_core.size());
-    for (std::size_t i = 0; i < per_core.size(); ++i) dst[i].merge(per_core[i]);
+  Json histograms = Json::object();
+  for (const auto& [name, per_core] : histograms_) {
+    Json cores = Json::object();
+    for (const auto& [core, h] : per_core)
+      cores.set(std::to_string(core), h.to_json());
+    histograms.set(name, std::move(cores));
   }
+  Json j = Json::object();
+  j.set("counters", std::move(counters));
+  j.set("histograms", std::move(histograms));
+  return j;
+}
+
+bool MetricsRegistry::from_json(const Json& j, MetricsRegistry* out) {
+  const Json* counters = j.find("counters");
+  const Json* histograms = j.find("histograms");
+  if (counters == nullptr || !counters->is_object() || histograms == nullptr ||
+      !histograms->is_object())
+    return false;
+  constexpr std::uint64_t kCoreLimit = 1ULL << 32;
+  MetricsRegistry reg;
+  for (const auto& [name, cores] : counters->members()) {
+    if (!cores.is_object() || cores.size() == 0 || reg.counters_.count(name))
+      return false;
+    auto& dst = reg.counters_[name];
+    for (const auto& [key, n] : cores.members()) {
+      std::uint64_t core = 0;
+      std::uint64_t v = 0;
+      if (!index_of(key, kCoreLimit, &core) || !u64_of(n, &v) || v == 0 ||
+          !dst.emplace(static_cast<CoreId>(core), v).second)
+        return false;
+    }
+  }
+  for (const auto& [name, cores] : histograms->members()) {
+    if (!cores.is_object() || cores.size() == 0 || reg.histograms_.count(name))
+      return false;
+    auto& dst = reg.histograms_[name];
+    for (const auto& [key, hj] : cores.members()) {
+      std::uint64_t core = 0;
+      Histogram h;
+      if (!index_of(key, kCoreLimit, &core) || !Histogram::from_json(hj, &h) ||
+          !dst.emplace(static_cast<CoreId>(core), h).second)
+        return false;
+    }
+  }
+  *out = std::move(reg);
+  return true;
 }
 
 }  // namespace armbar::trace

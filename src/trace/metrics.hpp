@@ -7,6 +7,11 @@
 // Histograms are log2-bucketed (64 buckets cover the full Cycle range) so a
 // histogram is a fixed 600-byte object no matter how many samples land in
 // it — cheap enough to keep one per (metric, core).
+//
+// The simulator fills a registry through sim::RunConfig::metrics: the
+// latency histograms are fed at the hook sites, the counters are folded in
+// from CoreStats when the run ends. The registry round-trips through a
+// sparse JSON form so the runner can cache it next to a point's value.
 #pragma once
 
 #include <array>
@@ -17,8 +22,23 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/json.hpp"
 
 namespace armbar::trace {
+
+/// Standard metric names (cycle-valued histograms unless noted). Exposed so
+/// the simulator, benches, tests and exporters agree on spelling.
+namespace metric {
+inline constexpr const char* kBarrierComplete = "barrier.complete_cycles";
+inline constexpr const char* kBarrierTxn = "barrier.txn_cycles";
+inline constexpr const char* kSbResidency = "sb.residency_cycles";
+inline constexpr const char* kCohTransfer = "coh.transfer_cycles";
+inline constexpr const char* kRemoteInv = "coh.remote_inv_cycles";
+inline constexpr const char* kInstrs = "count.instructions";    ///< counter
+inline constexpr const char* kBarriers = "count.barriers";      ///< counter
+inline constexpr const char* kSquashes = "count.squashes";      ///< counter
+inline constexpr const char* kStallPrefix = "stall_cycles.";    ///< counter family
+}  // namespace metric
 
 /// Log2-bucketed histogram of non-negative integer samples (cycle counts).
 /// Bucket 0 holds the value 0; bucket i (i >= 1) holds [2^(i-1), 2^i).
@@ -57,6 +77,14 @@ class Histogram {
 
   const std::array<std::uint64_t, kBuckets>& buckets() const { return buckets_; }
 
+  bool operator==(const Histogram&) const = default;
+
+  /// Exact JSON form: {"sum", "min", "max", "buckets": {"<i>": n}} with
+  /// only non-zero buckets written; the count is their sum.
+  Json to_json() const;
+  /// Inverse of to_json(). False on a malformed or empty histogram.
+  static bool from_json(const Json& j, Histogram* out);
+
   static std::size_t bucket_of(std::uint64_t v) {
     return v == 0 ? 0 : static_cast<std::size_t>(64 - __builtin_clzll(v));
   }
@@ -88,12 +116,17 @@ struct HistogramSummary {
 HistogramSummary summarize(const Histogram& h);
 
 /// Named counters + histograms, each kept per core with a machine-wide
-/// aggregate view. Core ids are dense and small (<= kMaxCores), so per-core
-/// storage is a vector indexed by core, grown on first touch.
+/// aggregate view. Per-core storage is sparse — only cores that counted or
+/// sampled something hold an entry — so a two-core run on the 64-core
+/// preset costs two slots per metric, not 64.
 class MetricsRegistry {
  public:
+  /// Add `delta` to a counter; a zero delta records nothing, so a counter
+  /// exists exactly when some core counted something.
   void inc(std::string_view name, CoreId core, std::uint64_t delta = 1);
   void observe(std::string_view name, CoreId core, std::uint64_t value);
+  /// Fold a whole per-core histogram in; an empty one records nothing.
+  void merge(std::string_view name, CoreId core, const Histogram& h);
 
   /// Machine-wide counter total (0 when the name was never incremented).
   std::uint64_t counter(std::string_view name) const;
@@ -115,11 +148,23 @@ class MetricsRegistry {
   /// combine them afterwards without sharing mutable state during the run.
   void merge(const MetricsRegistry& other);
 
+  bool operator==(const MetricsRegistry&) const = default;
+
+  /// Lossless, sparse JSON form, the shape result-cache entries store:
+  ///   {"counters":   {"<name>": {"<core>": n, ...}, ...},
+  ///    "histograms": {"<name>": {"<core>": <Histogram::to_json>, ...}, ...}}
+  /// Only cores holding an entry are written, and integers above 2^53
+  /// travel as decimal strings, which the double-valued DOM keeps exact.
+  Json to_json() const;
+  /// Inverse of to_json(): on success *out holds exactly the encoded
+  /// registry. False (and *out untouched) on a malformed document.
+  static bool from_json(const Json& j, MetricsRegistry* out);
+
  private:
   // std::map: stable iteration order (deterministic exports), heterogeneous
   // string_view lookup via std::less<>.
-  std::map<std::string, std::vector<std::uint64_t>, std::less<>> counters_;
-  std::map<std::string, std::vector<Histogram>, std::less<>> histograms_;
+  std::map<std::string, std::map<CoreId, std::uint64_t>, std::less<>> counters_;
+  std::map<std::string, std::map<CoreId, Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace armbar::trace

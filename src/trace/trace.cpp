@@ -88,7 +88,6 @@ void Tracer::emit(const Event& e) {
 void Tracer::instr_issue(CoreId c, std::uint32_t pc, std::uint8_t op, Cycle at) {
   if (!enabled_) return;
   emit({at, at, 0, 0, pc, c, EventKind::kInstrIssue, op});
-  if (metrics_) metrics_->inc(metric::kInstrs, c);
 }
 
 void Tracer::set_stall_cause_names(std::vector<std::string> names) {
@@ -104,14 +103,11 @@ void Tracer::stall(CoreId c, std::uint32_t pc, std::uint8_t cause, Cycle from,
                    Cycle to) {
   if (!enabled_ || to <= from) return;
   emit({from, to, 0, 0, pc, c, EventKind::kStall, cause});
-  if (metrics_)
-    metrics_->inc(metric::kStallPrefix + stall_cause_name(cause), c, to - from);
 }
 
 void Tracer::squash(CoreId c, std::uint32_t pc, Cycle at) {
   if (!enabled_) return;
   emit({at, at, 0, 0, pc, c, EventKind::kSquash, 0});
-  if (metrics_) metrics_->inc(metric::kSquashes, c);
 }
 
 void Tracer::sb_enqueue(CoreId c, std::uint64_t seq, Addr addr, Cycle at) {
@@ -130,18 +126,12 @@ void Tracer::sb_drain_retire(CoreId c, std::uint64_t seq, Cycle enqueued,
   if (!enabled_) return;
   const Cycle residency = done >= enqueued ? done - enqueued : 0;
   emit({done, done, seq, residency, 0, c, EventKind::kSbDrainRetire, 0});
-  if (metrics_) metrics_->observe(metric::kSbResidency, c, residency);
 }
 
 void Tracer::coh_transfer(CoreId c, Addr line, CohKind kind, Cycle from, Cycle to) {
   if (!enabled_) return;
   emit({from, to, line, to - from, 0, c, EventKind::kCohTransfer,
         static_cast<std::uint8_t>(kind)});
-  if (metrics_) {
-    metrics_->observe(metric::kCohTransfer, c, to - from);
-    if (kind == CohKind::kGetMRemote)
-      metrics_->observe(metric::kRemoteInv, c, to - from);
-  }
 }
 
 void Tracer::line_transition(CoreId c, Addr line, LineCode from, LineCode to,
@@ -155,20 +145,17 @@ void Tracer::line_transition(CoreId c, Addr line, LineCode from, LineCode to,
 void Tracer::barrier_issue(CoreId c, std::uint32_t pc, std::uint8_t op, Cycle at) {
   if (!enabled_) return;
   emit({at, at, 0, 0, pc, c, EventKind::kBarrierIssue, op});
-  if (metrics_) metrics_->inc(metric::kBarriers, c);
 }
 
 void Tracer::barrier_txn(CoreId c, std::uint8_t op, Cycle from, Cycle to) {
   if (!enabled_) return;
   emit({from, to, 0, to - from, 0, c, EventKind::kBarrierTxn, op});
-  if (metrics_) metrics_->observe(metric::kBarrierTxn, c, to - from);
 }
 
 void Tracer::barrier_complete(CoreId c, std::uint32_t pc, std::uint8_t op,
                               Cycle issue, Cycle done) {
   if (!enabled_) return;
   emit({issue, done, 0, done - issue, pc, c, EventKind::kBarrierComplete, op});
-  if (metrics_) metrics_->observe(metric::kBarrierComplete, c, done - issue);
 }
 
 void Tracer::store_gate_arm(CoreId c, std::uint32_t pc, Cycle at) {

@@ -9,9 +9,11 @@
 //    feeds back into the simulation, so cycle counts are bit-identical with
 //    tracing on or off.
 //  * Bounded memory: events land in a ring of fixed capacity; wraparound
-//    overwrites the oldest events and counts them in dropped(). Metrics
-//    (histograms/counters) are fed on every event regardless of wraparound,
-//    so the quantitative view never loses samples.
+//    overwrites the oldest events and counts them in dropped().
+//  * Ring only: the tracer records events and nothing else. Counters and
+//    latency histograms come from sim::RunConfig::metrics, which the
+//    simulator feeds directly — no ring write, no string-keyed lookup — so
+//    collecting metrics never requires a tracer.
 //
 // The event vocabulary covers the barrier lifetime the paper dissects:
 // issue-queue blocking (kStall with a StallCause code), store-buffer
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "trace/metrics.hpp"
 
 namespace armbar::trace {
 
@@ -82,37 +83,18 @@ struct Event {
   std::uint8_t detail = 0;  ///< StallCause / Op / CohKind / packed LineCodes
 };
 
-/// Standard metric names the tracer feeds (all cycle-valued histograms
-/// unless noted). Exposed so benches, tests and exporters agree on spelling.
-namespace metric {
-inline constexpr const char* kBarrierComplete = "barrier.complete_cycles";
-inline constexpr const char* kBarrierTxn = "barrier.txn_cycles";
-inline constexpr const char* kStallBarrier = "stall.barrier_cycles";
-inline constexpr const char* kSbResidency = "sb.residency_cycles";
-inline constexpr const char* kCohTransfer = "coh.transfer_cycles";
-inline constexpr const char* kRemoteInv = "coh.remote_inv_cycles";
-inline constexpr const char* kInstrs = "count.instructions";    ///< counter
-inline constexpr const char* kBarriers = "count.barriers";      ///< counter
-inline constexpr const char* kSquashes = "count.squashes";      ///< counter
-inline constexpr const char* kStallPrefix = "stall_cycles.";    ///< counter family
-}  // namespace metric
-
 class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  /// Attach a registry; the tracer feeds it on every event. May be null.
-  void set_metrics(MetricsRegistry* m) { metrics_ = m; }
-  MetricsRegistry* metrics() const { return metrics_; }
-
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
   /// Install human-readable names for the stall-cause codes the simulator
   /// passes to stall(). Keeps trace/ independent of sim/ while letting
-  /// metric keys and exports spell "kBarrier" instead of "3".
+  /// exports spell "barrier" instead of "2".
   void set_stall_cause_names(std::vector<std::string> names);
   /// Name for a cause code; falls back to the decimal code.
   std::string stall_cause_name(std::uint8_t cause) const;
@@ -154,7 +136,6 @@ class Tracer {
   std::vector<Event> ring_;
   std::size_t head_ = 0;      ///< next write slot
   std::uint64_t emitted_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
   std::vector<std::string> stall_cause_names_;
 };
 

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "runner/cache.hpp"
 #include "runner/fingerprint.hpp"
@@ -130,6 +132,103 @@ TEST(ResultCache, StructuredValuesRoundTrip) {
   EXPECT_DOUBLE_EQ(got->find("mps")->number(), 123.5);
   ASSERT_NE(got->find("ok"), nullptr);
   EXPECT_TRUE(got->find("ok")->boolean());
+}
+
+TEST(ResultCache, MetricsTravelWithTheValue) {
+  trace::MetricsRegistry reg;
+  reg.inc(trace::metric::kInstrs, 32, 77);
+  reg.observe(trace::metric::kBarrierTxn, 0, 40);
+  const std::string key = "0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f";
+  ResultCache c(temp_cache_dir("metrics"));
+  c.store(key, "with metrics", value_of(3), &reg);
+
+  const auto expect_hit = [&](ResultCache& cache) {
+    trace::MetricsRegistry got;
+    auto v = cache.lookup(key, &got);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_DOUBLE_EQ(v->number(), 3);
+    EXPECT_TRUE(got == reg);
+  };
+  expect_hit(c);  // from memory
+  ResultCache fresh(c.dir());
+  expect_hit(fresh);  // from disk
+}
+
+TEST(ResultCache, EntryWithoutMetricsIsStaleForAMetricsLookup) {
+  const std::string key = "1e1e1e1e1e1e1e1e1e1e1e1e1e1e1e1e";
+  const std::string dir = temp_cache_dir("nometrics");
+  {
+    ResultCache c(dir);
+    c.store(key, "value only", value_of(5));
+  }
+  ResultCache fresh(dir);
+  EXPECT_TRUE(fresh.lookup(key).has_value());  // a value-only lookup hits
+  trace::MetricsRegistry got;
+  EXPECT_FALSE(fresh.lookup(key, &got).has_value());
+  EXPECT_TRUE(got.empty());
+  const auto s = fresh.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.evictions, 1u);
+}
+
+TEST(ResultCache, ConcurrentLookupsAgreeAndCountEveryCall) {
+  // Lookups read and parse entry files outside the lock. Four threads
+  // racing over one populated directory (plus keys never stored) must see
+  // exactly the stored values, and every call must count once.
+  const std::string dir = temp_cache_dir("concurrent");
+  constexpr int kStored = 64;
+  constexpr int kAbsent = 16;
+  constexpr int kThreads = 4;
+  const auto key_of = [](int i) {
+    Fingerprint k;
+    k.mix("concurrent").mix(static_cast<std::uint64_t>(i));
+    return k.hex();
+  };
+  {
+    ResultCache writer(dir);
+    for (int i = 0; i < kStored; ++i) {
+      trace::MetricsRegistry reg;
+      reg.inc(trace::metric::kInstrs, static_cast<CoreId>(i % 3), i + 1);
+      writer.store(key_of(i), "point", value_of(i * 1.5), &reg);
+    }
+  }
+  ResultCache c(dir);
+  std::vector<std::vector<double>> seen(kThreads);
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kStored + kAbsent; ++i) {
+        trace::MetricsRegistry got;
+        const auto v = c.lookup(key_of(i), &got);
+        if (i >= kStored) {
+          if (v.has_value()) ++bad[t];
+          continue;
+        }
+        if (!v.has_value() ||
+            got.counter(trace::metric::kInstrs) != static_cast<std::uint64_t>(i + 1)) {
+          ++bad[t];
+          continue;
+        }
+        seen[t].push_back(v->number());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(bad[t], 0) << "thread " << t;
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  ASSERT_EQ(seen[0].size(), static_cast<std::size_t>(kStored));
+  for (int i = 0; i < kStored; ++i) EXPECT_DOUBLE_EQ(seen[0][i], i * 1.5);
+  const auto s = c.stats();
+  EXPECT_EQ(s.hits + s.misses,
+            static_cast<std::uint64_t>(kThreads * (kStored + kAbsent)));
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads * kStored));
+  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kThreads * kAbsent));
+  EXPECT_EQ(s.evictions, 0u);
 }
 
 }  // namespace

@@ -23,7 +23,8 @@ ARMBAR_EXPERIMENT(cli_smoke, "Test", "one traced store loop") {
   Fingerprint k = ExperimentContext::key();
   k.mix("cli_test/store-loop");
   const double cycles =
-      ctx.cached_instrumented(k, "store loop", [](trace::Tracer* tracer) {
+      ctx.cached_instrumented(k, "store loop", [](trace::Tracer* tracer,
+                                                   trace::MetricsRegistry* reg) {
            sim::Machine m(sim::rpi4(), 1u << 20);
            sim::Asm a;
            a.movi(sim::X0, 0x1000).movi(sim::X2, 0);
@@ -38,6 +39,7 @@ ARMBAR_EXPERIMENT(cli_smoke, "Test", "one traced store loop") {
            m.load_program(0, a.take("t"));
            sim::RunConfig cfg;
            cfg.tracer = tracer;
+           cfg.metrics = reg;
            return trace::Json(static_cast<double>(m.run(cfg).cycles));
          }).number();
   ctx.check(cycles > 0, "the store loop ran");

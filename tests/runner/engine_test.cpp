@@ -1,13 +1,17 @@
 // Engine: filter resolution, deterministic sweeps at any job count, cache
-// warm-up, repeat determinism, abort isolation, report assembly.
+// warm-up, cached metrics, repeat determinism, abort isolation, report
+// assembly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "runner/engine.hpp"
 #include "runner/experiment.hpp"
+#include "simprog/abstract_model.hpp"
 
 namespace armbar::runner {
 namespace {
@@ -58,6 +62,30 @@ void body_delta_fails(ExperimentContext& ctx) {
   ctx.check(false, "this claim is false");
 }
 
+void body_instrumented_pairs(ExperimentContext& ctx) {
+  // Six cross-node Machine runs; each point's counters and histograms ride
+  // in its cache entry.
+  auto rates = ctx.map(6, [&](std::size_t i) {
+    const auto iters = static_cast<std::uint32_t>(16 + 4 * i);
+    Fingerprint k = ExperimentContext::key();
+    k.mix("engine_test/pairs").mix(iters);
+    return ctx
+        .cached_instrumented(
+            k, "pair " + std::to_string(iters),
+            [&](trace::Tracer* t, trace::MetricsRegistry* m) {
+              const sim::Program p = simprog::make_store_store_model(
+                  simprog::OrderChoice::kDmbFull, simprog::BarrierLoc::kLoc1,
+                  2, iters, simprog::kBufA, simprog::kBufB);
+              return trace::Json(simprog::run_pair(sim::kunpeng916(), p, iters,
+                                                   0, 32, t, m));
+            })
+        .number();
+  });
+  bool all_ran = true;
+  for (double r : rates) all_ran = all_ran && r > 0;
+  ctx.check(all_ran, "every pair ran");
+}
+
 Registry make_registry() {
   Registry r;
   r.add({"alpha_squares", "Test A1", "sums squares", &body_alpha_squares});
@@ -65,6 +93,8 @@ Registry make_registry() {
   r.add({"beta_counts", "Test B", "counts runs", &body_beta_counts});
   r.add({"gamma_aborts", "Test C", "always aborts", &body_gamma_aborts});
   r.add({"delta_fails", "Test D", "fails a check", &body_delta_fails});
+  r.add({"instrumented_pairs", "Test E", "cross-node Machine runs",
+         &body_instrumented_pairs});
   return r;
 }
 
@@ -174,6 +204,92 @@ TEST(Engine, ColdThenWarmCacheServesEveryPoint) {
   EXPECT_EQ(second.cache_stats.misses, 0u);
   // Cached and recomputed sweeps digest identically.
   EXPECT_EQ(first.outcomes[0].points_digest, second.outcomes[0].points_digest);
+}
+
+/// A single-match report's counters and histograms: every metric except
+/// the host- and cache-dependent ones, then the histogram section.
+std::string counters_and_histograms(const trace::Json& report) {
+  trace::Json metrics = trace::Json::object();
+  for (const auto& [k, v] : report.find("metrics")->members())
+    if (k != "wall_ms" && k != "cache_point_hits") metrics.set(k, v);
+  return metrics.dump() + report.find("histograms")->dump();
+}
+
+TEST(Engine, CachedMetricsEqualFreshOnes) {
+  Registry r = make_registry();
+  const std::string dir = ::testing::TempDir() + "armbar_engine_cache_metrics";
+  std::filesystem::remove_all(dir);
+
+  EngineOptions fresh = base_opts();  // --no-cache --json
+  fresh.filter = "instrumented_pairs";
+  fresh.collect_metrics = true;
+  const auto ref = Engine(r, fresh).run();
+  ASSERT_TRUE(ref.ok);
+  ASSERT_GE(ref.report.find("histograms")->size(), 3u);
+
+  EngineOptions cold = base_opts();  // primes the cache without --json
+  cold.filter = "instrumented_pairs";
+  cold.cache_enabled = true;
+  cold.cache_dir = dir;
+  const auto primed = Engine(r, cold).run();
+  EXPECT_EQ(primed.cache_stats.stores, 6u);
+  EXPECT_EQ(primed.report.find("histograms")->size(), 0u);
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    EngineOptions warm = cold;
+    warm.collect_metrics = true;
+    warm.jobs = jobs;
+    const auto res = Engine(r, warm).run();
+    ASSERT_EQ(res.outcomes.size(), 1u);
+    EXPECT_EQ(res.outcomes[0].points, 6u);
+    EXPECT_EQ(res.outcomes[0].cache_hits, res.outcomes[0].points)
+        << "jobs " << jobs;
+    EXPECT_EQ(res.cache_stats.stores, 0u);
+    EXPECT_EQ(counters_and_histograms(res.report),
+              counters_and_histograms(ref.report))
+        << "jobs " << jobs;
+    EXPECT_EQ(res.outcomes[0].points_digest, ref.outcomes[0].points_digest);
+  }
+}
+
+TEST(Engine, V1EntriesAreEvictedAndRecomputed) {
+  Registry r = make_registry();
+  const std::string dir = ::testing::TempDir() + "armbar_engine_cache_v1";
+  std::filesystem::remove_all(dir);
+  EngineOptions o = base_opts();
+  o.filter = "instrumented_pairs";
+  o.cache_enabled = true;
+  o.cache_dir = dir;
+  o.collect_metrics = true;
+  const auto ref = Engine(r, o).run();
+  ASSERT_EQ(ref.cache_stats.stores, 6u);
+
+  // Downgrade every entry to the schema from before metrics were cached.
+  int rewritten = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    std::stringstream text;
+    text << std::ifstream(f.path()).rdbuf();
+    std::string doc = text.str();
+    const std::string v2 = kCacheEntrySchema;
+    const auto at = doc.find(v2);
+    ASSERT_NE(at, std::string::npos);
+    doc.replace(at, v2.size(), "armbar.cache.entry/v1");
+    std::ofstream(f.path(), std::ios::trunc) << doc;
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 6);
+
+  const auto res = Engine(r, o).run();
+  EXPECT_EQ(res.cache_stats.evictions, 6u);
+  EXPECT_EQ(res.cache_stats.hits, 0u);
+  EXPECT_EQ(res.cache_stats.stores, 6u);
+  EXPECT_EQ(counters_and_histograms(res.report),
+            counters_and_histograms(ref.report));
+  EXPECT_EQ(res.outcomes[0].points_digest, ref.outcomes[0].points_digest);
+
+  const auto again = Engine(r, o).run();  // the recomputed entries are v2
+  EXPECT_EQ(again.outcomes[0].cache_hits, 6u);
+  EXPECT_EQ(again.cache_stats.evictions, 0u);
 }
 
 TEST(Engine, AbortIsolatesToOneExperiment) {

@@ -4,6 +4,7 @@
 // rejected by the report validator.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "prof/prof.hpp"
@@ -93,6 +94,31 @@ TEST(EngineProfile, ProfileEmitsValidHostProf) {
 
   // The engine owned the session: profiling is off again after run().
   EXPECT_FALSE(prof::enabled());
+}
+
+TEST(EngineProfile, FullyCachedRunHasValidHostProf) {
+  // A warm run simulates nothing. Its host profile must still validate,
+  // with the time it did spend attributed to cache lookups.
+  if (!prof::compiled_in()) GTEST_SKIP() << "profiler compiled out";
+  Registry r = make_registry();
+  const std::string dir = ::testing::TempDir() + "armbar_profile_cache";
+  std::filesystem::remove_all(dir);
+  EngineOptions o = base_opts();
+  o.filter = "prof_sim";
+  o.cache_enabled = true;
+  o.cache_dir = dir;
+  ASSERT_TRUE(Engine(r, o).run().ok);  // primes the cache
+
+  o.profile = true;
+  const auto res = Engine(r, o).run();
+  ASSERT_EQ(res.outcomes.size(), 1u);
+  ASSERT_EQ(res.outcomes[0].cache_hits, res.outcomes[0].points);
+  const trace::Json* hp = res.report.find("host_prof");
+  ASSERT_NE(hp, nullptr);
+  ASSERT_NE(hp->find("phases"), nullptr);
+  EXPECT_NE(hp->find("phases")->find("cache.lookup"), nullptr);
+  std::string err;
+  EXPECT_TRUE(trace::validate_bench_report(res.report, &err)) << err;
 }
 
 TEST(EngineProfile, NoProfileMeansNoHostProf) {

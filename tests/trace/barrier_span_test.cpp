@@ -49,7 +49,8 @@ struct TracedRun {
   std::uint64_t barrier_stall[2] = {};  // per loaded core, in load order
 };
 
-TracedRun run_mp(trace::Tracer* tracer, CoreId c0 = 0, CoreId c1 = 1) {
+TracedRun run_mp(trace::Tracer* tracer, CoreId c0 = 0, CoreId c1 = 1,
+                 trace::MetricsRegistry* metrics = nullptr) {
   Machine m(kunpeng916());
   if (tracer) m.set_tracer(tracer);
   const Program p = producer();
@@ -57,7 +58,9 @@ TracedRun run_mp(trace::Tracer* tracer, CoreId c0 = 0, CoreId c1 = 1) {
   m.load_program(c0, p);
   m.load_program(c1, c);
   TracedRun out;
-  out.res = m.run({});
+  RunConfig cfg;
+  cfg.metrics = metrics;
+  out.res = m.run(cfg);
   EXPECT_TRUE(out.res.completed);
   if (tracer) out.events = tracer->snapshot();
   out.barrier_stall[0] =
@@ -146,15 +149,13 @@ TEST(BarrierSpans, CrossNodeBindingAlsoBalances) {
 
 TEST(BarrierSpans, MetricsHistogramCountsBarriers) {
   trace::MetricsRegistry reg;
-  trace::Tracer tracer(1u << 18);
-  tracer.set_metrics(&reg);
-  run_mp(&tracer);
+  run_mp(nullptr, 0, 1, &reg);  // RunConfig::metrics: no tracer needed
 
   EXPECT_EQ(reg.counter(trace::metric::kBarriers), kRounds);
   const trace::Histogram h = reg.histogram(trace::metric::kBarrierComplete);
   EXPECT_EQ(h.count(), kRounds);
   EXPECT_GT(h.min(), 0u);
-  // Metric keys carry installed stall-cause names, not numeric codes.
+  // Metric keys carry stall-cause names, not numeric codes.
   EXPECT_GT(reg.counter("stall_cycles.barrier"), 0u);
 }
 

@@ -1,6 +1,10 @@
-// Histogram bucketing/percentiles and the per-core metrics registry.
+// Histogram bucketing/percentiles, the per-core metrics registry and its
+// JSON round trip.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "trace/json.hpp"
 #include "trace/metrics.hpp"
 
 namespace armbar::trace {
@@ -129,6 +133,109 @@ TEST(MetricsRegistry, NamesAreSortedAndClearable) {
   EXPECT_EQ(reg.histogram_names(), (std::vector<std::string>{"y", "z"}));
   reg.clear();
   EXPECT_TRUE(reg.empty());
+}
+
+/// to_json, dumped and parsed back (what a cache entry goes through), then
+/// from_json.
+MetricsRegistry round_trip(const MetricsRegistry& reg) {
+  std::string err;
+  const Json parsed = Json::parse(reg.to_json().dump(1), &err);
+  EXPECT_TRUE(err.empty()) << err;
+  MetricsRegistry out;
+  EXPECT_TRUE(MetricsRegistry::from_json(parsed, &out));
+  return out;
+}
+
+TEST(MetricsRegistryJson, EmptyRegistryRoundTrips) {
+  const MetricsRegistry reg;
+  const MetricsRegistry back = round_trip(reg);
+  EXPECT_TRUE(back.empty());
+  EXPECT_TRUE(back == reg);
+}
+
+TEST(MetricsRegistryJson, OnlyPopulatedCoresAndBucketsAreWritten) {
+  MetricsRegistry reg;
+  reg.inc(metric::kInstrs, 32, 1234);
+  reg.observe(metric::kCohTransfer, 32, 180);
+  reg.observe(metric::kCohTransfer, 32, 190);
+
+  const Json j = reg.to_json();
+  const Json* instrs = j.find("counters")->find(metric::kInstrs);
+  ASSERT_NE(instrs, nullptr);
+  EXPECT_EQ(instrs->size(), 1u);
+  EXPECT_NE(instrs->find("32"), nullptr);
+  const Json* coh = j.find("histograms")->find(metric::kCohTransfer);
+  ASSERT_NE(coh, nullptr);
+  EXPECT_EQ(coh->size(), 1u);
+  ASSERT_NE(coh->find("32"), nullptr);
+  EXPECT_EQ(coh->find("32")->find("buckets")->size(), 1u);  // both in [128, 256)
+
+  const MetricsRegistry back = round_trip(reg);
+  EXPECT_TRUE(back == reg);
+  EXPECT_EQ(back.counter(metric::kInstrs, 32), 1234u);
+  EXPECT_EQ(back.counter(metric::kInstrs, 0), 0u);
+  EXPECT_EQ(back.histogram(metric::kCohTransfer, 0), nullptr);
+  EXPECT_EQ(back.histogram(metric::kCohTransfer).sum(), 370u);
+}
+
+TEST(MetricsRegistryJson, EveryBucketRoundTrips) {
+  MetricsRegistry reg;
+  reg.observe("lat", 3, 0);
+  for (std::size_t i = 1; i < Histogram::kBuckets; ++i) {
+    reg.observe("lat", 3, Histogram::bucket_lo(i));
+    reg.observe("lat", 3, Histogram::bucket_lo(i) * 2 - 1);  // top of bucket i
+  }
+  const Histogram* h = reg.histogram("lat", 3);
+  ASSERT_NE(h, nullptr);
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
+    EXPECT_GT(h->buckets()[i], 0u) << "bucket " << i;
+  EXPECT_EQ(h->max(), ~0ULL);
+
+  const MetricsRegistry back = round_trip(reg);
+  EXPECT_TRUE(back == reg);
+  ASSERT_NE(back.histogram("lat", 3), nullptr);
+  EXPECT_EQ(back.histogram("lat", 3)->buckets(), h->buckets());
+}
+
+TEST(MetricsRegistryJson, IntegersAbove2To53StayExact) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  const std::uint64_t big = (1ULL << 53) + 1;
+  MetricsRegistry reg;
+  reg.observe("lat", 0, big);
+  reg.observe("lat", 0, big + 2);
+  reg.inc("ctr", 5, big);
+
+  const MetricsRegistry back = round_trip(reg);
+  EXPECT_TRUE(back == reg);
+  ASSERT_NE(back.histogram("lat", 0), nullptr);
+  EXPECT_EQ(back.histogram("lat", 0)->sum(), 2 * big + 2);
+  EXPECT_EQ(back.histogram("lat", 0)->min(), big);
+  EXPECT_EQ(back.histogram("lat", 0)->max(), big + 2);
+  EXPECT_EQ(back.counter("ctr", 5), big);
+}
+
+TEST(MetricsRegistryJson, MalformedDocumentsAreRejected) {
+  MetricsRegistry out;
+  out.inc("kept", 0);
+  const MetricsRegistry before = out;
+  const auto rejects = [&](const char* text) {
+    std::string err;
+    const Json doc = Json::parse(text, &err);
+    EXPECT_TRUE(err.empty()) << text;
+    EXPECT_FALSE(MetricsRegistry::from_json(doc, &out)) << text;
+    EXPECT_TRUE(out == before) << "a rejected document changed the registry";
+  };
+  rejects("null");
+  rejects(R"({"counters": {}})");
+  rejects(R"({"counters": {"c": {"0": 0}}, "histograms": {}})");
+  rejects(R"({"counters": {"c": {"0": -1}}, "histograms": {}})");
+  rejects(R"({"counters": {"c": {"0": 1.5}}, "histograms": {}})");
+  rejects(R"({"counters": {"c": {"07": 1}}, "histograms": {}})");
+  rejects(R"({"counters": {"c": {"0": "99999999999999999999"}}, "histograms": {}})");
+  rejects(R"({"counters": {}, "histograms": {"h": {"0":
+      {"sum": 0, "min": 0, "max": 0, "buckets": {}}}}})");
+  rejects(R"({"counters": {}, "histograms": {"h": {"0":
+      {"sum": 1, "min": 1, "max": 1, "buckets": {"65": 1}}}}})");
 }
 
 }  // namespace

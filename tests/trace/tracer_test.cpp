@@ -1,5 +1,6 @@
-// Ring-buffer tracer mechanics: wraparound accounting, snapshot order,
-// enable/disable, and the metrics feed.
+// Ring-buffer tracer mechanics: wraparound accounting, snapshot order and
+// enable/disable. Metrics are not the tracer's job (see
+// run_metrics_test.cpp for RunConfig::metrics).
 #include <gtest/gtest.h>
 
 #include "trace/trace.hpp"
@@ -58,9 +59,7 @@ TEST(Tracer, WraparoundAtNonBoundaryOffset) {
 }
 
 TEST(Tracer, DisabledTracerEmitsNothing) {
-  MetricsRegistry reg;
   Tracer t(8);
-  t.set_metrics(&reg);
   t.set_enabled(false);
 
   t.emit(instant(1, 1));
@@ -75,7 +74,6 @@ TEST(Tracer, DisabledTracerEmitsNothing) {
 
   EXPECT_EQ(t.emitted(), 0u);
   EXPECT_EQ(t.size(), 0u);
-  EXPECT_TRUE(reg.empty()) << "a disabled tracer must not feed metrics";
 
   // Re-enabling resumes recording.
   t.set_enabled(true);
@@ -100,29 +98,6 @@ TEST(Tracer, StallCauseNamesFallBackToCode) {
   t.set_stall_cause_names({"none", "operand", "barrier"});
   EXPECT_EQ(t.stall_cause_name(2), "barrier");
   EXPECT_EQ(t.stall_cause_name(9), "9");
-}
-
-TEST(Tracer, HooksFeedMetrics) {
-  MetricsRegistry reg;
-  Tracer t(4);  // tiny ring: metrics must not depend on ring survival
-  t.set_metrics(&reg);
-  t.set_stall_cause_names({"none", "operand", "barrier"});
-
-  for (int i = 0; i < 10; ++i) {
-    t.instr_issue(1, 0, 0, i);
-    t.barrier_complete(1, 4, 7, i, i + 100);
-    t.stall(1, 4, 2, i, i + 3);
-    t.sb_drain_retire(1, i, 0, 32);
-  }
-
-  EXPECT_EQ(reg.counter(metric::kInstrs), 10u);
-  EXPECT_EQ(reg.counter("stall_cycles.barrier"), 30u);
-  const Histogram bc = reg.histogram(metric::kBarrierComplete);
-  EXPECT_EQ(bc.count(), 10u);
-  EXPECT_EQ(bc.min(), 100u);
-  const Histogram sb = reg.histogram(metric::kSbResidency);
-  EXPECT_EQ(sb.count(), 10u);
-  EXPECT_EQ(sb.sum(), 320u);
 }
 
 TEST(Tracer, ZeroLengthStallIsNotRecorded) {
