@@ -30,6 +30,9 @@
 #   * a --profile smoke: the profiled report validates and carries
 #     host_prof, and every points digest is bit-identical to the
 #     unprofiled run (profiling never perturbs results);
+#   * a step gate: a profiled --no-cache fig5_load_store run must retire
+#     its instructions in under 10% as many core steps (sim.steps), which
+#     only holds while untraced NOP runs retire in one step;
 #   * the model_perf experiment gating the POR checker >= 5x faster than
 #     the naive oracle on the co-heavy deep-MP shape (report-validated,
 #     speedup read back out of the JSON);
@@ -235,6 +238,23 @@ dig = lambda d: {k: v for k, v in d["params"].items()
 assert dig(off), "report carries no points digests"
 assert dig(off) == dig(on), "profiling perturbed points digests"
 print(f"profile smoke OK ({len(dig(on))} points digests identical on/off)")
+EOF
+
+echo "== step gate (fig5 retires its NOP runs in few core steps) =="
+# Deterministic, no timing: fig5 pads every barrier with hundreds of NOPs,
+# and an untraced core retires each run in one step. Per-cycle issue would
+# make sim.steps about equal to sim.instructions, while every digest would
+# still match.
+"$BENCH" --filter fig5_load_store --no-cache --profile \
+    --json="$SMOKE_DIR/fig5-steps.report.json" > /dev/null
+python3 - "$SMOKE_DIR/fig5-steps.report.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["host_prof"]["counters"]
+steps, instrs = counters["sim.steps"], counters["sim.instructions"]
+assert steps < 0.10 * instrs, \
+    f"sim.steps {steps} is not < 10% of sim.instructions {instrs}"
+print(f"step gate OK ({steps} steps for {instrs} instructions, "
+      f"{100 * steps / instrs:.1f}%)")
 EOF
 
 echo "== model_perf gate (POR >= 5x naive on deep MP+dmb) =="

@@ -25,6 +25,7 @@ const char* phase_name(Phase p) {
 const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kSimInstructions: return "sim.instructions";
+    case Counter::kSimSteps: return "sim.steps";
     case Counter::kSimRuns: return "sim.runs";
     case Counter::kSimCycles: return "sim.cycles";
     case Counter::kModelExecutions: return "model.executions";

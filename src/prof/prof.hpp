@@ -57,6 +57,7 @@ const char* phase_name(Phase p);
 /// Process-wide monotonic counters (merged across threads at snapshot).
 enum class Counter : std::uint8_t {
   kSimInstructions,  ///< guest instructions retired across all runs
+  kSimSteps,         ///< Core::step calls: a NOP run retires in one
   kSimRuns,          ///< Machine::run completions
   kSimCycles,        ///< simulated cycles across all runs
   kModelExecutions,  ///< model-checker candidates examined
@@ -65,7 +66,7 @@ enum class Counter : std::uint8_t {
   kCacheStores,
   kCacheEvictions,   ///< corrupt/stale entries dropped at lookup
 };
-inline constexpr std::size_t kNumCounters = 8;
+inline constexpr std::size_t kNumCounters = 9;
 const char* counter_name(Counter c);
 
 struct PhaseStats {

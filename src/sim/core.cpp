@@ -190,6 +190,8 @@ void Core::pump_store_buffer(Cycle now) {
       store_gate_watch_ = -1;
     }
   }
+  sb_horizon_ = earliest_sb_event(now);
+  sb_dirty_ = false;
 }
 
 Cycle Core::earliest_sb_event(Cycle now) const {
@@ -212,6 +214,7 @@ void Core::squash(const PendingBranch& br, Cycle now) {
   flags_ = br.flags;
   flags_ready_ = br.flags_ready;
   loads_done_at_ = br.loads_done;
+  sb_dirty_ = sb_dirty_ || !sb_.empty();
   while (!sb_.empty() && sb_.back().seq >= br.sb_seq) {
     ARMBAR_CHECK_MSG(!sb_.back().draining, "speculative store drained");
     sb_.pop_back();
@@ -230,6 +233,8 @@ void Core::resolve_branches(Cycle now) {
     if (br.actual_pc == br.predicted_pc) {
       branches_.erase(branches_.begin());
       committed_branch_ = br.idx;
+      // The commit may ungate buffered stores: no SB event reports that.
+      sb_dirty_ = sb_dirty_ || !sb_.empty();
     } else {
       squash(br, now);
       return;
@@ -335,9 +340,27 @@ void Core::issue(Cycle now) {
   }
 
   switch (u.cls) {
-    case OpClass::kNop:
-      ++pc_;
+    case OpClass::kNop: {
+      // A NOP run retires in one step, exactly as the per-cycle loop would
+      // have issued it: NOPs touch no shared state, and an invalidation only
+      // sets flags NOPs never read, so nothing another core does during the
+      // run can observe it. The run stops short of this core's next event —
+      // a store-buffer event, the front branch resolving, the cycle cap — so
+      // the step that meets it happens at the same cycle as before. A dirty
+      // buffer has no valid horizon (the next step must pump), and a tracer
+      // gets one issue per step so its ring is written in emission order.
+      Cycle run = 1;
+      if (u.nop_run > 1 && tracer_ == nullptr && !sb_dirty_) {
+        Cycle horizon = cyc_min(sb_horizon_, run_end_);
+        if (!branches_.empty())
+          horizon = cyc_min(horizon, branches_.front().resolve_at);
+        if (horizon > now + 1) run = cyc_min(u.nop_run, horizon - now);
+      }
+      pc_ += static_cast<std::uint32_t>(run);
+      stats_.instructions += run - 1;  // the common tail below counts one
+      last_step_ = now + run - 1;
       break;
+    }
 
     case OpClass::kHalt:
       halted_ = true;
@@ -526,6 +549,7 @@ void Core::issue(Cycle now) {
       e.release_loads = loads_done_at_;
       ARMBAR_TRACE(tracer_, sb_enqueue(id_, e.seq, e.addr, now));
       sb_.push_back(e);
+      sb_dirty_ = true;
       ++stats_.stores;
       ++pc_;
       break;
@@ -645,18 +669,20 @@ void Core::issue(Cycle now) {
 
 void Core::step(Cycle now) {
   last_step_ = now;
-  // Fast-path guard (ISSUE 7): pumping is a no-op unless drains or a DMB st
-  // gate are outstanding. `store_gate_watch_ >= 0` implies the buffer held
-  // watched (pre-barrier, non-speculative) entries; once the last of them
-  // retires the same pump resolves the gate, so an empty buffer with no
-  // watch means there is nothing to do — the guard is exact, and skips the
-  // call entirely for the millions of steps with an empty buffer.
-  if (!sb_.empty() || store_gate_watch_ >= 0) pump_store_buffer(now);
+  // Pump gate: between store-buffer events a pump is an exact no-op. A
+  // drain retires only at its drain_done; an entry becomes startable only
+  // at its value_ready, drain_at or release_loads, at a retire (MSHR slot,
+  // older same-word entry, STLR or TSO front) — all events — or when a
+  // branch commits, which marks the buffer dirty like an enqueue or a
+  // squash does. A DMB st gate resolves in the pump that retires its last
+  // watched drain. The fault engine draws only for startable entries, so
+  // skipped pumps draw nothing either.
+  if (sb_dirty_ || now >= sb_horizon_) pump_store_buffer(now);
   if (!branches_.empty()) resolve_branches(now);
 
   auto finish = [&](Cycle candidate) {
-    Cycle na = candidate;
-    na = cyc_min(na, earliest_sb_event(now));
+    Cycle na = cyc_min(candidate,
+                       sb_dirty_ ? earliest_sb_event(now) : sb_horizon_);
     if (!branches_.empty()) na = cyc_min(na, branches_.front().resolve_at);
     // Progress guarantee: never schedule in the past/present.
     next_attention_ = cyc_max(na, now + 1);
@@ -723,16 +749,16 @@ void Core::step(Cycle now) {
     // HALT issues only once no branch is pending, so resolve_branches above
     // may have committed, in this very step, the branch gating a buffered
     // store the pump had already passed over. That store is startable now,
-    // yet no SB event reports it (its value_ready/drain_at are behind us),
-    // so poll once more while anything is buffered; from then on the halted
-    // branch at the top wakes on the event horizon alone.
-    finish(sb_.empty() ? kNeverCycle : now + 1);
+    // yet no SB event reports it (its value_ready/drain_at are behind us):
+    // the commit left the buffer dirty, so pump once more next cycle; from
+    // then on the halted branch at the top wakes on the event horizon alone.
+    finish(sb_dirty_ ? now + 1 : kNeverCycle);
   } else if (parked_) {
     finish(park_wake_);
   } else if (stall_until_ > now) {
     finish(stall_until_);
   } else {
-    finish(now + 1);
+    finish(last_step_ + 1);  // now + 1, or the cycle after a NOP run
   }
 }
 

@@ -125,6 +125,12 @@ class Core {
   const CoreStats& stats() const { return stats_; }
   std::uint32_t pc() const { return pc_; }
 
+  /// Test seam for the invariant checker: overwrite the cached store-buffer
+  /// event horizon, as a buffer change that missed its dirty mark would
+  /// leave it, so tests can prove the MachineVerifier catches it. Never
+  /// called by the simulator.
+  void debug_set_sb_horizon(Cycle at) { sb_horizon_ = at; }
+
  private:
   // Tracer attachment goes through Machine::set_tracer() — the single
   // attach point — so a core can never trace with stale stall-cause names
@@ -137,14 +143,18 @@ class Core {
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
   void set_histograms(CoreHistograms* h) { hist_ = h; }
+  /// First cycle the run loop will not reach (max_cycles + 1): a NOP run
+  /// never retires past it.
+  void set_run_end(Cycle end) { run_end_ = end; }
 
   // ---- the stepping interface (ISSUE 7) ----
   // Machine's scheduler is the only driver of simulated time. Everything it
   // calls per cycle lives here, and nothing else about a core's execution
   // is reachable from outside: the contract is exactly step / attention /
   // idle / invalidate.
-  /// Advance the core at cycle `now`. Issues at most one instruction and
-  /// pumps the store buffer. Updates next_attention().
+  /// Advance the core at cycle `now`. Issues one instruction (or a whole
+  /// NOP run, see issue()) and pumps the store buffer when it can act.
+  /// Updates next_attention().
   void step(Cycle now);
   /// Earliest cycle at which this core needs to be stepped again
   /// (kNeverCycle exactly when idle()).
@@ -257,6 +267,13 @@ class Core {
   /// enter the buffer but their drain is floored at the acquire completion.
   Cycle load_gate_ = 0;
   Cycle drain_floor_ = 0;
+  /// earliest_sb_event() as computed by the last pump. Before that cycle a
+  /// pump can only act if the buffer changed outside it, which sets
+  /// sb_dirty_: a store enqueued, a branch committed (ungating stores) or a
+  /// squash popped entries.
+  Cycle sb_horizon_ = kNeverCycle;
+  bool sb_dirty_ = false;
+  Cycle run_end_ = kNeverCycle;
 
   // ---- architectural registers ----
   std::uint64_t regs_[kNumRegs] = {};
@@ -265,7 +282,6 @@ class Core {
   // ---- memory-order state ----
   std::vector<SbEntry> sb_;
   std::uint64_t sb_next_seq_ = 1;
-  std::uint64_t sb_resolved_branch_ = ~0ULL;  ///< see resolve_branches()
   std::vector<SbWatch> watches_;
   std::vector<Cycle> load_queue_;   ///< completion cycles of in-flight loads
   std::optional<BlockingBarrier> barrier_;

@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/check.hpp"
@@ -49,9 +50,13 @@ Machine::Machine(PlatformSpec spec, std::size_t mem_bytes)
     // on_invalidate only ever *lowers* next_attention (and only for parked
     // cores), so when it did not move the slot is still exact and the
     // scheduler write — a heap push per delivered invalidation on a 64-way
-    // contended line — can be skipped entirely.
+    // contended line — can be skipped entirely. A wake that lands on the
+    // cycle being swept is reported to the sweep through woken_.
     const Cycle na = core.next_attention();
-    if (na < sched_.at(victim) && active_[victim]) sched_.set(victim, na);
+    if (na < sched_.at(victim) && active_[victim]) {
+      sched_.set(victim, na);
+      if (na <= sweep_at_) woken_ |= std::uint64_t{1} << victim;
+    }
   });
 }
 
@@ -120,14 +125,15 @@ RunResult Machine::run(const RunConfig& cfg) {
   }
 
   RunResult res;
-  std::vector<Core*> live;
-  std::vector<std::uint32_t> live_ids;
+  // The first cycle the loop below never steps: NOP runs stop short of it.
+  const Cycle run_end =
+      max_cycles == kNeverCycle ? kNeverCycle : max_cycles + 1;
+  std::vector<CoreId> live;
   live.reserve(num_cores());
-  live_ids.reserve(num_cores());
   for (CoreId c = 0; c < num_cores(); ++c)
     if (active_[c]) {
-      live.push_back(cores_[c].get());
-      live_ids.push_back(c);
+      live.push_back(c);
+      cores_[c]->set_run_end(run_end);
     }
 
   // Metrics: histograms for live cores only, so a two-core run on the
@@ -137,8 +143,8 @@ RunResult Machine::run(const RunConfig& cfg) {
     hists_.resize(live.size());
     std::vector<CoreHistograms*> by_core(num_cores(), nullptr);
     for (std::size_t i = 0; i < live.size(); ++i) {
-      by_core[live_ids[i]] = &hists_[i];
-      live[i]->set_histograms(&hists_[i]);
+      by_core[live[i]] = &hists_[i];
+      cores_[live[i]]->set_histograms(&hists_[i]);
     }
     mem_->set_histograms(std::move(by_core));
   }
@@ -153,10 +159,10 @@ RunResult Machine::run(const RunConfig& cfg) {
   // poller itself retires instructions, so the sum only freezes when every
   // live core is truly stuck (e.g. a barrier waiting on a drain that never
   // starts). Sampled once per window, not per event.
-  const auto progress_signature = [&live] {
+  const auto progress_signature = [&] {
     std::uint64_t sig = 0;
-    for (const Core* core : live) {
-      const CoreStats& s = core->stats();
+    for (const CoreId c : live) {
+      const CoreStats& s = cores_[c]->stats();
       sig += s.instructions + s.sb_retired + s.squashes;
     }
     return sig;
@@ -166,6 +172,7 @@ RunResult Machine::run(const RunConfig& cfg) {
   Cycle progress_cycle = 0;
 
   Cycle now = 0;
+  std::uint64_t steps = 0;
   {
     // One kSimSchedule scope for the whole loop (the PR-6 build re-entered
     // it every iteration — ~25% of sim wall time was the scope's own clock
@@ -179,8 +186,8 @@ RunResult Machine::run(const RunConfig& cfg) {
       if (next == kNeverCycle) {
         // idle() <=> next_attention()==kNeverCycle after a step, so an empty
         // queue means completion — but keep the deadlock diagnostic exact.
-        for (Core* core : live)
-          ARMBAR_CHECK_MSG(core->idle(),
+        for (const CoreId c : live)
+          ARMBAR_CHECK_MSG(cores_[c]->idle(),
                            "simulation deadlock: no core schedulable");
         res.completed = true;
         break;
@@ -190,28 +197,27 @@ RunResult Machine::run(const RunConfig& cfg) {
         res.completed = false;
         break;
       }
-      // Step pass: id-order forward sweep re-reading the live slots — NOT
-      // heap pop order. A step can lower a *later* core's attention to <= now
-      // (coherence invalidation waking a WFE parker) and that core must still
-      // be stepped this cycle; and MemorySystem mutation order (hence
-      // simulated timing) must stay exactly the id-order of the PR-6 loop.
-      // The sweep reads the scheduler's dense slot array, not the cores:
-      // slot == next_attention() by construction (kNeverCycle when idle),
-      // so the common not-due case costs one L1 load per live core instead
-      // of chasing each Core pointer for idle()/next_attention() — on the
-      // 64-core preset that chase dominated short contended runs.
-      const std::vector<Cycle>& due = sched_.slots();
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::uint32_t c = live_ids[i];
-        if (due[c] <= now) {
-          Core* core = live[i];
-          core->step(now);
-          sched_.set(c, core->next_attention());
-        }
+      // Step pass over the due cores only, in id order — NOT heap pop
+      // order: MemorySystem mutation order (hence simulated timing) must
+      // stay exactly that of a walk over every core. A step can pull another
+      // core's attention back to `now` (coherence invalidation waking a WFE
+      // parker): a later id joins this sweep, as an id-order walk would
+      // reach it; an earlier id keeps the heap entry the hook pushed and is
+      // stepped by the next pass at this same cycle.
+      sweep_at_ = now;
+      for (std::uint64_t due = sched_.take_due(now); due != 0;) {
+        const auto c = static_cast<CoreId>(std::countr_zero(due));
+        due &= due - 1;
+        woken_ = 0;
+        Core& core = *cores_[c];
+        core.step(now);
+        ++steps;
+        sched_.set(c, core.next_attention());
+        due |= woken_ & (~std::uint64_t{1} << c);
       }
       if (now >= next_verify) {
         ARMBAR_PROF_SCOPE(kSimVerify);
-        if (std::string v = verifier.check(); !v.empty())
+        if (std::string v = verifier.check(now); !v.empty())
           throw InvariantViolation(
               verifier.diagnose("invariant_violation", v, now));
         next_verify = now + verify_every;
@@ -234,14 +240,13 @@ RunResult Machine::run(const RunConfig& cfg) {
   // tick (or a run shorter than the cadence) is still caught.
   if (verify_every != 0) {
     ARMBAR_PROF_SCOPE(kSimVerify);
-    if (std::string v = verifier.check(); !v.empty())
+    if (std::string v = verifier.check(now); !v.empty())
       throw InvariantViolation(verifier.diagnose("invariant_violation", v, now));
   }
 
   Cycle end = 0;
   res.cores.reserve(live.size());
-  for (CoreId c = 0; c < num_cores(); ++c) {
-    if (!active_[c]) continue;
+  for (const CoreId c : live) {
     res.cores.push_back(cores_[c]->stats());
     end = std::max(end, cores_[c]->stats().halted_at);
   }
@@ -249,11 +254,12 @@ RunResult Machine::run(const RunConfig& cfg) {
   res.mem = mem_->stats();
   if (cfg.metrics != nullptr)
     for (std::size_t i = 0; i < live.size(); ++i)
-      record_core(*cfg.metrics, live_ids[i], live[i]->stats(), hists_[i]);
+      record_core(*cfg.metrics, live[i], cores_[live[i]]->stats(), hists_[i]);
   if (prof::enabled()) {
     std::uint64_t instrs = 0;
     for (const CoreStats& s : res.cores) instrs += s.instructions;
     ARMBAR_PROF_COUNT(kSimInstructions, instrs);
+    ARMBAR_PROF_COUNT(kSimSteps, steps);
     ARMBAR_PROF_COUNT(kSimCycles, res.cycles);
     ARMBAR_PROF_COUNT(kSimRuns, 1);
   }

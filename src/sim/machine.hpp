@@ -134,6 +134,10 @@ class Machine {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<bool> active_;
   AttentionQueue sched_;  ///< per-core next-attention slots + lazy min-heap
+  /// The cycle run() is sweeping, and the cores the invalidate hook pulled
+  /// to it during the current step (bit c = core c).
+  Cycle sweep_at_ = 0;
+  std::uint64_t woken_ = 0;
   std::unique_ptr<fault::FaultEngine> fault_engine_;
   /// One per program-bearing core, allocated by run() only when it records
   /// metrics; the cores and the memory system hold pointers into it.

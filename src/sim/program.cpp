@@ -111,6 +111,12 @@ DecodedProgram::DecodedProgram(Program src) : src_(std::move(src)) {
   ARMBAR_CHECK_MSG(!src_.code.empty(), "cannot decode an empty program");
   uops_.reserve(src_.code.size());
   for (const Instr& ins : src_.code) uops_.push_back(decode_instr(ins));
+  // Run lengths, back to front: a NOP's run is its successor's plus one.
+  std::uint32_t run = 0;
+  for (auto it = uops_.rbegin(); it != uops_.rend(); ++it) {
+    run = it->cls == OpClass::kNop ? run + 1 : 0;
+    it->nop_run = run;
+  }
 }
 
 ProgramHandle decode_program(Program src) {

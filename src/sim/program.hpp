@@ -73,7 +73,12 @@ struct MicroOp {
   std::uint8_t flags = 0;
   std::int64_t imm = 0;
   std::uint32_t target = 0;
+  /// kNop only: NOPs from this pc up to the next non-NOP (>= 1), so an
+  /// untraced core can retire the whole run in one step (Core::issue).
+  std::uint32_t nop_run = 0;
 };
+// nop_run lives in what was tail padding: the hot array keeps its stride.
+static_assert(sizeof(MicroOp) == 24);
 
 /// Predecode one instruction at `pc`. Exposed for the coverage unit test;
 /// callers normally go through decode_program().

@@ -9,23 +9,25 @@
 //
 // AttentionQueue keeps a dense per-core cycle array (the authoritative
 // slots — one cache line for typical core counts) plus a lazy min-heap of
-// (cycle, core) pairs. set() pushes unconditionally; min() pops stale
-// entries whose cycle no longer matches the slot. Each slot write pushes at
-// most one heap entry, so the heap holds at most one stale entry per set()
-// and is compacted when it grows past 4x the core count.
+// (cycle, core) pairs. set() pushes unconditionally; min() and take_due()
+// pop stale entries whose cycle no longer matches the slot. Each slot write
+// pushes at most one heap entry, so the heap holds at most one stale entry
+// per set() and is compacted when it grows past 4x the core count.
 //
-// The queue is deliberately NOT an event-dispatch mechanism: it only
-// answers "what is the earliest attention cycle". Stepping still walks
-// core ids in order and re-reads the live slots, because a step can change
-// other cores' attention (coherence invalidations waking WFE parkers) in
-// the same cycle, and the heap's pop order must not leak into simulated
-// timing.
+// take_due() hands the run loop the cores due at a cycle as a 64-bit mask
+// (a machine has at most kMaxCores = 64 cores), which the loop steps in id
+// order, so the heap's pop order never leaks into simulated timing. A step
+// can pull another core's attention back to the current cycle (coherence
+// invalidations waking WFE parkers); the run loop folds such wakes of later
+// ids into the sweep it is running, and earlier ids keep their fresh heap
+// entry for the next pass at the same cycle.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace armbar::sim {
@@ -34,6 +36,7 @@ class AttentionQueue {
  public:
   explicit AttentionQueue(std::uint32_t num_cores)
       : slots_(num_cores, kNeverCycle) {
+    ARMBAR_CHECK_MSG(num_cores <= 64, "due masks hold at most 64 cores");
     heap_.reserve(num_cores * 2);
   }
 
@@ -49,23 +52,28 @@ class AttentionQueue {
 
   Cycle at(std::uint32_t core) const { return slots_[core]; }
 
-  /// The dense slot array itself, for the run loop's step sweep: one
-  /// contiguous read per core instead of chasing each Core pointer for
-  /// idle()/next_attention(). Entries mutate under the caller's feet as
-  /// steps reschedule cores — that is the point (the sweep must observe
-  /// same-cycle wakes written by earlier cores' steps).
-  const std::vector<Cycle>& slots() const { return slots_; }
-
   /// Earliest attention cycle over all cores (kNeverCycle when none pending).
   /// Amortized O(log n): pops entries invalidated by later set() calls.
   Cycle min() {
     while (!heap_.empty()) {
       const Entry& top = heap_.front();
       if (slots_[top.core] == top.at) return top.at;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
+      pop();
     }
     return kNeverCycle;
+  }
+
+  /// Pop every entry at or before `now`; returns the cores whose slot it
+  /// still matched (bit c = core c). Their slots are left as they are: the
+  /// caller steps each of them and set()s the new attention.
+  std::uint64_t take_due(Cycle now) {
+    std::uint64_t due = 0;
+    while (!heap_.empty() && heap_.front().at <= now) {
+      const Entry top = heap_.front();
+      pop();
+      if (slots_[top.core] == top.at) due |= std::uint64_t{1} << top.core;
+    }
+    return due;
   }
 
  private:
@@ -77,6 +85,11 @@ class AttentionQueue {
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const { return a.at > b.at; }
   };
+
+  void pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
 
   void compact() {
     heap_.clear();

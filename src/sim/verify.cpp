@@ -125,8 +125,20 @@ std::string MachineVerifier::check_lines() const {
   return {};
 }
 
-std::string MachineVerifier::check_core(const Core& core) const {
+std::string MachineVerifier::check_core(const Core& core, Cycle now) const {
   const std::string where = "core " + std::to_string(core.id_) + ": ";
+
+  // Pump gate: a clean buffer's cached event horizon, while still ahead of
+  // the sweep, is what a rescan reports. A stale one means a buffer change
+  // missed its dirty mark, and the pump would sleep through an event.
+  if (!core.sb_dirty_ && core.sb_horizon_ > now) {
+    if (const Cycle actual = core.earliest_sb_event(now);
+        actual != core.sb_horizon_)
+      return where + "cached store-buffer horizon " +
+             std::to_string(core.sb_horizon_) + " but the next event is at " +
+             (actual == kNeverCycle ? std::string("never")
+                                    : std::to_string(actual));
+  }
 
   // Store-buffer order: seqs strictly increase in buffer order, and a drain
   // never overtakes an older same-word entry (per-address program order).
@@ -175,10 +187,10 @@ std::string MachineVerifier::check_core(const Core& core) const {
   return {};
 }
 
-std::string MachineVerifier::check() const {
+std::string MachineVerifier::check(Cycle now) const {
   if (std::string v = check_lines(); !v.empty()) return v;
   for (const auto& core : m_.cores_)
-    if (std::string v = check_core(*core); !v.empty()) return v;
+    if (std::string v = check_core(*core, now); !v.empty()) return v;
   return {};
 }
 

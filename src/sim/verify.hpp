@@ -24,6 +24,9 @@
 //      younger than the committed-branch watermark.
 //   4. Barrier accounting: every active store-buffer watch expects exactly
 //      the drains that are still buffered below its epoch.
+//   5. Pump gate: a core whose store buffer is clean (unchanged since its
+//      last pump) and whose cached event horizon lies ahead of the sweep
+//      cycle caches exactly the horizon a rescan of the buffer reports.
 //
 // The watchdog is separate from the verifier: it converts "no core retired
 // an instruction, drained a store or squashed for N cycles" into a typed
@@ -90,16 +93,17 @@ class MachineVerifier {
  public:
   explicit MachineVerifier(const Machine& m) : m_(m) {}
 
-  /// Check every invariant; returns "" when all hold, otherwise a one-line
-  /// description of the first violation found.
-  std::string check() const;
+  /// Check every invariant once every core due at cycle `now` has been
+  /// stepped; returns "" when all hold, otherwise a one-line description of
+  /// the first violation found.
+  std::string check(Cycle now) const;
 
   /// Assemble a diagnostic bundle from the machine's current state.
   SimDiagnostic diagnose(std::string kind, std::string summary, Cycle now) const;
 
  private:
   std::string check_lines() const;
-  std::string check_core(const Core& core) const;
+  std::string check_core(const Core& core, Cycle now) const;
 
   const Machine& m_;
 };

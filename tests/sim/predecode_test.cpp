@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "sim/isa.hpp"
 #include "sim/program.hpp"
@@ -138,6 +139,16 @@ TEST(Predecode, DecodedProgramOwnsItsSource) {
   EXPECT_EQ(h->source().code.size(), 2u);
   EXPECT_EQ(h->uops()[0].op, Op::kMovImm);
   EXPECT_EQ(h->uops()[1].cls, OpClass::kHalt);
+}
+
+TEST(Predecode, NopRunCountsTheNopsAhead) {
+  Asm a;
+  a.nops(3).movi(X0, 1).nop().halt().nops(2);
+  ProgramHandle h = decode_program(a.take("runs"));
+  std::vector<std::uint32_t> runs;
+  for (std::uint32_t pc = 0; pc < h->size(); ++pc)
+    runs.push_back(h->uops()[pc].nop_run);
+  EXPECT_EQ(runs, (std::vector<std::uint32_t>{3, 2, 1, 0, 1, 0, 2, 1}));
 }
 
 }  // namespace

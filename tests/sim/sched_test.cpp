@@ -52,5 +52,25 @@ TEST(AttentionQueue, SurvivesManyStaleEntries) {
   }
 }
 
+TEST(AttentionQueue, TakeDueReturnsExactlyTheCoresDueByNow) {
+  AttentionQueue q(64);
+  q.set(0, 10);
+  q.set(5, 12);
+  q.set(63, 10);
+  q.set(7, 30);
+  q.set(5, 40);  // postponed: its entry at 12 is stale
+  q.set(9, 11);
+  q.set(9, 10);  // pulled earlier: both entries are due, one bit results
+  EXPECT_EQ(q.take_due(9), 0u);
+  EXPECT_EQ(q.take_due(12), (1ULL << 0) | (1ULL << 9) | (1ULL << 63));
+  // Taken entries leave the heap; the slots stay until the caller sets them.
+  EXPECT_EQ(q.take_due(12), 0u);
+  EXPECT_EQ(q.at(0), 10u);
+  EXPECT_EQ(q.min(), 30u);
+  q.set(0, 30);
+  EXPECT_EQ(q.take_due(30), (1ULL << 0) | (1ULL << 7));
+  EXPECT_EQ(q.min(), 40u);
+}
+
 }  // namespace
 }  // namespace armbar::sim

@@ -28,12 +28,12 @@ TEST(Verifier, CleanMachineVerifiesClean) {
   Program p = counting_loop(100);
   m.load_program(0, p);
   const MachineVerifier v(m);
-  EXPECT_EQ(v.check(), "");
+  EXPECT_EQ(v.check(0), "");
   RunConfig cfg;
   cfg.verify_every = 64;
   auto r = m.run(cfg);  // cadence sweeps must not fire on a healthy run
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(v.check(), "");
+  EXPECT_EQ(v.check(r.cycles), "");
 }
 
 TEST(Verifier, CadencedRunMatchesUncheckedCycles) {
@@ -59,7 +59,7 @@ TEST(Verifier, DetectsForeignSharerOfOwnedLine) {
   ls.sharers = 1ULL << 2;  // single-writer broken: M copy + foreign S copy
   m.mem().debug_set_line_state(0x5000, ls);
   const MachineVerifier v(m);
-  const std::string violation = v.check();
+  const std::string violation = v.check(0);
   ASSERT_NE(violation, "");
   EXPECT_NE(violation.find("0x5000"), std::string::npos) << violation;
 }
@@ -69,7 +69,7 @@ TEST(Verifier, DetectsSharerMaskOutsideMachine) {
   LineState ls;
   ls.sharers = 1ULL << 9;  // no core 9 exists
   m.mem().debug_set_line_state(0x5000, ls);
-  EXPECT_NE(MachineVerifier(m).check(), "");
+  EXPECT_NE(MachineVerifier(m).check(0), "");
 }
 
 TEST(Verifier, DetectsMalformedPendingStore) {
@@ -81,7 +81,7 @@ TEST(Verifier, DetectsMalformedPendingStore) {
   ls.busy_until = 100;
   ls.pending_owner = kNoOwner;  // in-flight store with no writer
   m.mem().debug_set_line_state(0x5000, ls);
-  EXPECT_NE(MachineVerifier(m).check(), "");
+  EXPECT_NE(MachineVerifier(m).check(0), "");
 }
 
 TEST(Verifier, DetectsForeignSharerOnLastLineOfSpan) {
@@ -91,7 +91,7 @@ TEST(Verifier, DetectsForeignSharerOnLastLineOfSpan) {
   ls.owner = 0;
   ls.sharers = 1ULL << 2;
   m.mem().debug_set_line_state(kSpan - kCacheLineBytes, ls);
-  const std::string violation = MachineVerifier(m).check();
+  const std::string violation = MachineVerifier(m).check(0);
   EXPECT_TRUE(violation.starts_with(
       "line 0x3ffffc0: owner 0 coexists with foreign sharers"))
       << violation;
@@ -108,7 +108,7 @@ TEST(Verifier, ReportsLowestViolationAcrossPages) {
   // order pages were touched in.
   m.mem().debug_set_line_state(0x2000040, foreign_sharer);
   m.mem().debug_set_line_state(0x5000, bad_mask);
-  const std::string violation = MachineVerifier(m).check();
+  const std::string violation = MachineVerifier(m).check(0);
   EXPECT_TRUE(violation.starts_with("line 0x5000: ")) << violation;
 }
 
@@ -136,6 +136,34 @@ TEST(Verifier, CorruptionDuringRunThrowsInvariantViolation) {
     ASSERT_NE(j.find("kind"), nullptr);
     EXPECT_EQ(j.find("kind")->str(), "invariant_violation");
     ASSERT_NE(j.find("cores"), nullptr);
+  }
+}
+
+TEST(Verifier, StaleStoreBufferHorizonThrowsInvariantViolation) {
+  // A horizon cached for a buffer event that no longer exists is what a
+  // buffer change without its dirty mark leaves behind: the pump would
+  // sleep through the real next event. The loop never stores, so nothing
+  // recomputes the planted value before the first cadence sweep.
+  Machine m(rpi4(), 1u << 20);
+  Asm a;
+  a.movi(X2, 0);
+  a.label("loop");
+  a.addi(X2, X2, 1);
+  a.cmpi(X2, 100);
+  a.blt("loop");
+  a.halt();
+  m.load_program(0, a.take("no-stores"));
+  m.core(0).debug_set_sb_horizon(1'000'000);
+  RunConfig cfg;
+  cfg.verify_every = 16;
+  try {
+    (void)m.run(cfg);
+    FAIL() << "stale horizon ran to completion";
+  } catch (const InvariantViolation& e) {
+    EXPECT_TRUE(e.diagnostic().summary.starts_with(
+        "core 0: cached store-buffer horizon 1000000 but the next event is "
+        "at never"))
+        << e.diagnostic().summary;
   }
 }
 
