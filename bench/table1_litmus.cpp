@@ -44,9 +44,9 @@ ARMBAR_EXPERIMENT(table1_litmus, "Table 1",
     LitSummary s;
     auto mp = [&](sim::Op b, bool tso) {
       auto rep = run_litmus(make_mp(b), cfg(tso));
-      s.weak = rep.saw({0});
+      s.weak = rep.saw({1, 0});
       s.runs = rep.runs;
-      s.weak_count = rep.count({0});
+      s.weak_count = rep.count({1, 0});
     };
     switch (i) {
       case 0: mp(sim::Op::kNop, false); break;
@@ -97,7 +97,7 @@ ARMBAR_EXPERIMENT(table1_litmus, "Table 1",
 
   // WMM rows: the expectation is the reference model's verdict on the same
   // shape. A forbidden row must never be observed; an allowed row must be
-  // (the shape registry asserts the simulator exhibits those).
+  // (the golden litmus corpus pins which rows the simulator exhibits).
   auto model_weak = [](const char* shape) {
     return model_allows_weak(table1_shape(shape));
   };

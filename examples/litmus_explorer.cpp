@@ -19,9 +19,9 @@ void explore(const char* label, sim::Op barrier, bool tso, bool cross_node) {
   cfg.tso = tso;
   auto report = run_litmus(make_mp(barrier), cfg);
   std::printf("%-28s weak(data!=23): %5llu / %llu runs  %s\n", label,
-              static_cast<unsigned long long>(report.count({0})),
+              static_cast<unsigned long long>(report.count({1, 0})),
               static_cast<unsigned long long>(report.runs),
-              report.saw({0}) ? "ALLOWED" : "forbidden");
+              report.saw({1, 0}) ? "ALLOWED" : "forbidden");
 }
 
 }  // namespace

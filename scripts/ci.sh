@@ -3,9 +3,9 @@
 # everything, run the tiered test suite, then exercise the experiment
 # runner end to end:
 #   * the tier1 ctest label (fast tests, every suite) right after the
-#     build, then one dedicated full-suite stage that adds the slow tier
-#     (the 200-seed POR/naive equivalence sweep, the fault-matrix litmus
-#     sweep);
+#     build, failing if any test reports a skip, then one dedicated
+#     full-suite stage that adds the slow tier (the 200-seed POR/naive
+#     equivalence sweep, the fault-matrix litmus sweep);
 #   * a cold-vs-warm armbar-bench pair against a fresh cache dir, asserting
 #     the warm (fully memoized) re-run finishes in < 20% of the cold wall
 #     time;
@@ -90,8 +90,16 @@ cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release -DARMBAR_WERROR=ON > /dev/null
 echo "== build =="
 cmake --build "$BUILD" -j"$(nproc)"
 
-echo "== tests (tier1 label) =="
-ctest --test-dir "$BUILD" -L tier1 --output-on-failure -j"$(nproc)"
+echo "== tests (tier1 label, no skips) =="
+ctest --test-dir "$BUILD" -L tier1 --output-on-failure -j"$(nproc)" \
+  | tee "$BUILD/tier1.log"
+# gtest's [  SKIPPED ] maps to ctest's "(Skipped)" (SKIP_REGULAR_EXPRESSION,
+# set by gtest_discover_tests); the default build must run every test.
+if grep -q '(Skipped)' "$BUILD/tier1.log"; then
+  echo "FAIL: tier1 tests skipped in the default build:" >&2
+  grep '(Skipped)' "$BUILD/tier1.log" >&2
+  exit 1
+fi
 
 echo "== tests (full suite incl. slow tier) =="
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"

@@ -23,21 +23,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// Prepend `n` nops (shifting branch targets) — staggers thread start the
-/// same way the litmus harness's skew sweep does.
-sim::Program skewed(const sim::Program& p, std::uint32_t n) {
-  if (n == 0) return p;
-  sim::Program out;
-  out.name = p.name;
-  out.code.reserve(p.code.size() + n);
-  for (std::uint32_t i = 0; i < n; ++i) out.code.push_back({sim::Op::kNop});
-  for (sim::Instr ins : p.code) {
-    if (sim::is_branch(ins.op)) ins.target += n;
-    out.code.push_back(ins);
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(SimMutation m) {
@@ -162,14 +147,14 @@ DiffResult run_diff(const model::ConcurrentProgram& prog,
     for (std::size_t pi = 0; pi < opts.plans.size(); ++pi) {
       const sim::fault::FaultPlan& plan = opts.plans[pi];
       for (std::uint32_t skew : opts.skews) {
-        // Per-thread stagger grows with the thread index so threads don't
-        // just shift together.
+        // Per-thread stagger, prepended to the whole thread, grows with the
+        // thread index so threads don't just shift together.
         std::vector<sim::Program> progs;
         progs.reserve(prog.threads.size());
         for (std::size_t t = 0; t < prog.threads.size(); ++t)
-          progs.push_back(
-              skewed(apply_mutation(prog.threads[t], opts.mutation),
-                     skew * static_cast<std::uint32_t>(t + 1) % 32));
+          progs.push_back(sim::insert_nops(
+              apply_mutation(prog.threads[t], opts.mutation), 0,
+              skew * static_cast<std::uint32_t>(t + 1) % 32));
 
         sim::Machine m(spec, 1u << 20);
         for (const auto& [addr, v] : prog.init) m.mem().poke(addr, v);

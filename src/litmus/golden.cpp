@@ -64,20 +64,16 @@ GoldenEntry collect_golden(const Table1Shape& s,
   e.model_allowed = set.allowed;
   e.weak_allowed = set.allows(s.weak);
 
-  if (!s.sim_make) return e;  // model-only shape (CoRR)
-  const Litmus lit = s.sim_make();
+  const std::size_t nthreads = s.sim.prog.threads.size();
   for (const sim::PlatformSpec& spec : sim::all_platforms()) {
-    if (spec.total_cores() < lit.threads.size()) continue;
+    if (spec.total_cores() < nthreads) continue;
     LitmusConfig cfg;
     cfg.platform = spec;
-    for (std::size_t t = 0; t < lit.threads.size(); ++t)
+    for (std::size_t t = 0; t < nthreads; ++t)
       cfg.binding.push_back(static_cast<CoreId>(t));
-    const LitmusReport rep = run_litmus(lit, cfg);
+    const LitmusReport rep = run_litmus(s.sim, cfg);
     std::set<model::Outcome>& observed = e.sim_observed[spec.name];
-    for (const auto& [o, n] : rep.histogram) {
-      (void)n;
-      observed.insert(s.project(o));
-    }
+    for (const auto& [o, n] : rep.histogram) observed.insert(o);
   }
   return e;
 }

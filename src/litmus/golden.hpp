@@ -21,8 +21,7 @@
 //   weak-allowed 0
 //   model (0,0) (0,23) (1,23)
 //   sim kunpeng916 (0,0) (0,23) (1,23)
-//   ... one `sim` line per platform preset with enough cores; model-only
-//       shapes (CoRR) have none.
+//   ... one `sim` line per platform preset with enough cores.
 #pragma once
 
 #include <map>
@@ -40,10 +39,10 @@ inline constexpr const char* kGoldenSchema = "armbar.golden.litmus/v1";
 struct GoldenEntry {
   std::string shape;
   model::Outcome weak;
-  bool weak_allowed = false;  ///< model-derived, not the legacy boolean
+  bool weak_allowed = false;  ///< the model allows `weak`
   std::set<model::Outcome> model_allowed;
-  /// Platform preset name -> simulator-observed outcomes, projected into
-  /// model-outcome space. Only presets with >= nthreads cores appear.
+  /// Platform preset name -> simulator-observed outcomes. Only presets with
+  /// >= nthreads cores appear.
   std::map<std::string, std::set<model::Outcome>> sim_observed;
 };
 

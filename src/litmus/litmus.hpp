@@ -1,11 +1,15 @@
 // Litmus-test harness for the simulator.
 //
-// A litmus test is a small multi-threaded program with an initial memory
-// state and a set of observed registers. The harness runs the test across a
-// sweep of timing perturbations (per-thread start skews and core bindings)
-// and collects the histogram of observed outcomes. Tests then assert which
-// outcomes are reachable under WMM and which are forbidden under TSO or
-// with barriers inserted (paper Table 1 and §2).
+// A litmus test is plain data: one model::ConcurrentProgram (per-thread
+// programs, initial memory, observed registers and memory words) plus, per
+// thread, the pc at which the harness staggers that thread's start. The
+// harness runs the program across a sweep of start skews — `n` NOPs inserted
+// at each thread's skew point (sim::insert_nops) — and collects the
+// histogram of observed outcomes. Tests then assert which outcomes are
+// reachable under WMM and which are forbidden under TSO or with barriers
+// inserted (paper Table 1 and §2). For every Table 1 shape but MP, the
+// axiomatic model enumerates the very same program (litmus/shapes.hpp), so
+// the simulator and its reference read one form.
 //
 // Model fidelity notes
 // --------------------
@@ -19,42 +23,26 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
+#include "model/model.hpp"
 #include "sim/machine.hpp"
 
 namespace armbar::litmus {
 
-using sim::Program;  // Addr/CoreId/NodeId/Cycle come from the armbar namespace
-
-/// One thread of a litmus test. `make(skew)` must emit a program whose
-/// first `skew` instructions are nops (the harness sweeps skews to explore
-/// interleavings). `observe` lists registers whose final values form the
-/// outcome tuple.
-struct LitmusThread {
-  std::function<Program(std::uint32_t skew)> make;
-  std::vector<sim::Reg> observe;
-};
-
 /// A complete litmus test.
 struct Litmus {
-  std::string name;
-  std::vector<std::pair<Addr, std::uint64_t>> init;
-  /// Optional NUMA placement: (addr, bytes, node).
-  std::vector<std::tuple<Addr, std::size_t, NodeId>> homes;
-  std::vector<LitmusThread> threads;
-  /// Final memory words appended to each outcome after the register values
-  /// (for shapes like 2+2W whose condition is over coherence order).
-  std::vector<Addr> observe_mem;
+  model::ConcurrentProgram prog;
+  /// Per thread: the pc before which the harness inserts the thread's skew
+  /// NOPs. Anything before it (e.g. MP's cache-line warm-up) runs first.
+  std::vector<std::uint32_t> skew_at;
 };
 
-/// An observed outcome: the concatenated observed register values,
-/// thread-major in declaration order.
-using Outcome = std::vector<std::uint64_t>;
+/// An observed outcome: the observed register values (prog.observe_regs
+/// order) followed by the observed final memory words.
+using Outcome = model::Outcome;
 
 struct LitmusReport {
   std::map<Outcome, std::uint64_t> histogram;
@@ -88,10 +76,10 @@ LitmusReport run_litmus(const Litmus& test, const LitmusConfig& cfg);
 
 // ---- the standard shapes used by the paper and the test suite ----
 
-/// Message passing (paper Table 1): T0 stores data then flag; T1 spins on
-/// flag then reads data. Outcome = {T1.data}. `barrier` is inserted between
-/// the two stores (kNop means none); `data` observed != 23 is the weak
-/// outcome.
+/// Message passing (paper Table 1): T0 stores data then flag; T1 polls
+/// flag, sampling data on every poll. Outcome = {T1.flag, T1.data}; the
+/// flag is 1 once the poll exits. `barrier` is inserted between the two
+/// stores (kNop means none); (1,0) is the weak outcome.
 Litmus make_mp(sim::Op producer_barrier);
 
 /// Store buffering: T0 stores X, reads Y; T1 stores Y, reads X.
@@ -99,8 +87,16 @@ Litmus make_mp(sim::Op producer_barrier);
 /// inserted between each thread's store and load.
 Litmus make_sb(sim::Op barrier);
 
-/// Coherence: two stores by the same thread to one location must be seen
-/// in order by a spinning observer. Outcome = {observer saw regression}.
+/// SB with release stores and acquire loads: [L]; po; [A] is RCsc-ordered,
+/// so (0,0) is forbidden although no fence separates the accesses.
+Litmus make_sb_rel_acq();
+
+/// CoRR: T0 stores X=1 then X=2; T1 reads X twice. Outcome = {r1, r2};
+/// (2,1), a same-location read regressing, is forbidden.
+Litmus make_corr();
+
+/// Coherence probe: two stores by the same thread to one location must be
+/// seen in order by a spinning observer. Outcome = {observer saw regression}.
 Litmus make_coherence();
 
 /// Single-copy atomicity: a 64-bit store is never observed torn. The
@@ -121,7 +117,7 @@ Litmus make_lb(sim::Op barrier);
 Litmus make_s(sim::Op barrier);
 
 /// 2+2W: both threads store to both locations in opposite orders.
-/// Outcome = {final X, final Y}; (1,1) — each location keeping the
+/// Outcome = {final X, final Y}; (1,3) — each location keeping the
 /// *first* store in the respective program order — is the relaxed shape.
 Litmus make_2p2w(sim::Op barrier);
 

@@ -10,20 +10,14 @@ using namespace sim;  // registers X0..X30
 
 namespace {
 
-// Same locations the sim-side shapes use (litmus.cpp).
+// Same locations make_mp uses (litmus.cpp).
 constexpr Addr kData = 0x1000;
 constexpr Addr kFlag = 0x2000;
-constexpr Addr kX = 0x3000;
-constexpr Addr kY = 0x4000;
 
-void barrier(Asm& a, Op b) {
-  if (b != Op::kNop) a.emit({b});
-}
-
-// MP, model form. The producer mirrors the sim shape minus its
-// line-ownership warmup (pure timing, invisible to the model); the consumer
-// is the canonical straight-line projection of the sim's poll (see the
-// header comment). Outcome = (flag, data); weak = (1, 0).
+// MP, model form. The producer is the sim producer minus its line-ownership
+// warm-up (pure timing, invisible to the model); the consumer is the
+// straight-line form of the sim's poll (see the header comment).
+// Outcome = (flag, data); weak = (1, 0).
 model::ConcurrentProgram mp_model(Op producer_barrier) {
   model::ConcurrentProgram p;
   p.name = "MP";
@@ -31,7 +25,7 @@ model::ConcurrentProgram mp_model(Op producer_barrier) {
     Asm a;
     a.movi(X0, kData).movi(X2, kFlag).movi(X3, 23).movi(X4, 1);
     a.str(X3, X0, 0);
-    barrier(a, producer_barrier);
+    if (producer_barrier != Op::kNop) a.emit({producer_barrier});
     a.str(X4, X2, 0);
     a.halt();
     p.threads.push_back(a.take("mp-producer"));
@@ -50,306 +44,42 @@ model::ConcurrentProgram mp_model(Op producer_barrier) {
   return p;
 }
 
-// SB, model form — identical to the sim shape. Outcome = (t0.ry, t1.rx);
-// weak = (0, 0).
-model::ConcurrentProgram sb_model(Op b) {
-  model::ConcurrentProgram p;
-  p.name = "SB";
-  auto side = [&](Addr mine, Addr other) {
-    Asm a;
-    a.movi(X0, mine).movi(X1, other).movi(X2, 1);
-    a.str(X2, X0, 0);
-    barrier(a, b);
-    a.ldr(X3, X1, 0);
-    a.halt();
-    return a.take("sb-thread");
-  };
-  p.threads = {side(kX, kY), side(kY, kX)};
-  p.observe_regs = {{0, X3}, {1, X3}};
-  p.init = {{kX, 0}, {kY, 0}};
-  return p;
-}
-
-// SB with release stores and acquire loads: no fence, but [L]; po; [A] is
-// barrier-ordered (RCsc LDAR/STLR), so the weak (0,0) outcome is forbidden
-// anyway. This row pins the simulator gap the differential fuzzer found
-// (seed 807): LDAR must not be satisfied while an earlier STLR is still
-// awaiting global visibility.
-model::ConcurrentProgram sb_rel_acq_model() {
-  model::ConcurrentProgram p;
-  p.name = "SB+rel-acq";
-  auto side = [&](Addr mine, Addr other) {
-    Asm a;
-    a.movi(X0, mine).movi(X1, other).movi(X2, 1);
-    a.stlr(X2, X0, 0);
-    a.ldar(X3, X1, 0);
-    a.halt();
-    return a.take("sb-rel-acq-thread");
-  };
-  p.threads = {side(kX, kY), side(kY, kX)};
-  p.observe_regs = {{0, X3}, {1, X3}};
-  p.init = {{kX, 0}, {kY, 0}};
-  return p;
-}
-
-// CoRR, model form: two same-location reads must not see the writer's
-// values regress. Outcome = (r1, r2); weak = (2, 1). The sim probe is a
-// 100-iteration loop whose outcome does not project, so this row is
-// model-only.
-model::ConcurrentProgram corr_model() {
-  model::ConcurrentProgram p;
-  p.name = "CoRR";
-  {
-    Asm a;
-    a.movi(X0, kX).movi(X1, 1).movi(X2, 2);
-    a.str(X1, X0, 0);
-    a.str(X2, X0, 0);
-    a.halt();
-    p.threads.push_back(a.take("co-writer"));
-  }
-  {
-    Asm a;
-    a.movi(X0, kX);
-    a.ldr(X3, X0, 0);
-    a.ldr(X4, X0, 0);
-    a.halt();
-    p.threads.push_back(a.take("co-reader"));
-  }
-  p.observe_regs = {{1, X3}, {1, X4}};
-  p.init = {{kX, 0}};
-  return p;
-}
-
-// LB, model form — identical to the sim shape. Outcome = (t0.rx, t1.ry);
-// weak = (1, 1).
-model::ConcurrentProgram lb_model(Op b) {
-  model::ConcurrentProgram p;
-  p.name = "LB";
-  auto side = [&](Addr read_from, Addr write_to) {
-    Asm a;
-    a.movi(X0, read_from).movi(X1, write_to).movi(X2, 1);
-    a.ldr(X3, X0, 0);
-    barrier(a, b);
-    a.str(X2, X1, 0);
-    a.halt();
-    return a.take("lb-thread");
-  };
-  p.threads = {side(kX, kY), side(kY, kX)};
-  p.observe_regs = {{0, X3}, {1, X3}};
-  p.init = {{kX, 0}, {kY, 0}};
-  return p;
-}
-
-// S, model form — identical to the sim shape, including T1's data
-// dependency. Outcome = (t1.ry, final X); weak = (1, 2).
-model::ConcurrentProgram s_model(Op b) {
-  model::ConcurrentProgram p;
-  p.name = "S";
-  {
-    Asm a;
-    a.movi(X0, kX).movi(X1, kY).movi(X2, 2).movi(X3, 1);
-    a.str(X2, X0, 0);
-    barrier(a, b);
-    a.str(X3, X1, 0);
-    a.halt();
-    p.threads.push_back(a.take("s-t0"));
-  }
-  {
-    Asm a;
-    a.movi(X0, kX).movi(X1, kY).movi(X3, 1);
-    a.ldr(X4, X1, 0);
-    a.eor(X5, X4, X4);
-    a.add(X5, X3, X5);
-    a.str(X5, X0, 0);
-    a.halt();
-    p.threads.push_back(a.take("s-t1"));
-  }
-  p.observe_regs = {{1, X4}};
-  p.init = {{kX, 0}, {kY, 0}};
-  p.observe_mem = {kX};
-  return p;
-}
-
-// 2+2W, model form — identical to the sim shape. Outcome =
-// (final X, final Y); weak = (1, 3).
-model::ConcurrentProgram p2w2_model(Op b) {
-  model::ConcurrentProgram p;
-  p.name = "2+2W";
-  auto side = [&](Addr first, Addr second, std::int64_t v) {
-    Asm a;
-    a.movi(X0, first).movi(X1, second).movi(X2, v).movi(X3, v + 1);
-    a.str(X2, X0, 0);
-    barrier(a, b);
-    a.str(X3, X1, 0);
-    a.halt();
-    return a.take("2p2w-thread");
-  };
-  p.threads = {side(kX, kY, 1), side(kY, kX, 3)};
-  p.init = {{kX, 0}, {kY, 0}};
-  p.observe_mem = {kX, kY};
-  return p;
-}
-
-model::Outcome identity(const Outcome& o) { return o; }
-
 std::vector<Table1Shape> build_shapes() {
   std::vector<Table1Shape> rows;
-  auto add = [&](Table1Shape s) { rows.push_back(std::move(s)); };
-
-  // MP sim outcome is {data} (the poll implies flag == 1 at exit);
-  // project to the model's (flag, data).
-  const auto mp_project = [](const Outcome& o) {
-    return model::Outcome{1, o.at(0)};
-  };
-  auto mp = [&](std::string name, Op b, bool weak_allowed,
-                bool sim_shows_weak) {
-    Table1Shape s;
-    s.name = std::move(name);
-    s.model_prog = mp_model(b);
-    s.weak = {1, 0};
-    s.weak_allowed = weak_allowed;
-    s.sim_shows_weak = sim_shows_weak;
-    s.sim_make = [b] { return make_mp(b); };
-    s.project = mp_project;
-    s.sim_weak = {0};
-    add(std::move(s));
-  };
   // Table 1 proper: store->store order needs dmb.st / dmb.full / dsb;
   // dmb.ld between the stores orders nothing the shape needs.
-  mp("MP", Op::kNop, /*weak_allowed=*/true, /*sim_shows_weak=*/true);
-  mp("MP+dmb.st", Op::kDmbSt, false, false);
-  mp("MP+dmb.full", Op::kDmbFull, false, false);
-  mp("MP+dmb.ld", Op::kDmbLd, true, true);
-  mp("MP+dsb.full", Op::kDsbFull, false, false);
+  for (const auto& [name, b] :
+       {std::pair{"MP", Op::kNop}, std::pair{"MP+dmb.st", Op::kDmbSt},
+        std::pair{"MP+dmb.full", Op::kDmbFull},
+        std::pair{"MP+dmb.ld", Op::kDmbLd},
+        std::pair{"MP+dsb.full", Op::kDsbFull}})
+    rows.push_back({name, make_mp(b), mp_model(b), {1, 0}});
 
-  auto sb = [&](std::string name, Op b, bool weak_allowed,
-                bool sim_shows_weak) {
-    Table1Shape s;
-    s.name = std::move(name);
-    s.model_prog = sb_model(b);
-    s.weak = {0, 0};
-    s.weak_allowed = weak_allowed;
-    s.sim_shows_weak = sim_shows_weak;
-    s.sim_make = [b] { return make_sb(b); };
-    s.project = identity;
-    s.sim_weak = {0, 0};
-    add(std::move(s));
+  // Every other shape: the model enumerates the program the simulator
+  // sweeps.
+  auto add = [&](std::string name, Litmus sim, model::Outcome weak) {
+    model::ConcurrentProgram prog = sim.prog;
+    rows.push_back({std::move(name), std::move(sim), std::move(prog),
+                    std::move(weak)});
   };
   // dmb.st orders store->store only; SB needs the full barrier.
-  sb("SB", Op::kNop, true, true);
-  sb("SB+dmb.st", Op::kDmbSt, true, true);
-  sb("SB+dmb.full", Op::kDmbFull, false, false);
-
-  {
-    Table1Shape s;
-    s.name = "SB+rel-acq";
-    s.model_prog = sb_rel_acq_model();
-    s.weak = {0, 0};
-    s.weak_allowed = false;  // [L]; po; [A] in bob: RCsc forbids it
-    s.sim_shows_weak = false;
-    s.sim_make = [] {
-      Litmus t;
-      t.name = "SB+rel-acq";
-      t.init = {{kX, 0}, {kY, 0}};
-      auto thread = [](Addr mine, Addr other) {
-        LitmusThread th;
-        th.make = [mine, other](std::uint32_t skew) {
-          Asm a;
-          a.movi(X0, mine).movi(X1, other).movi(X2, 1);
-          a.nops(skew);
-          a.stlr(X2, X0, 0);
-          a.ldar(X3, X1, 0);
-          a.halt();
-          return a.take("sb-rel-acq-thread");
-        };
-        th.observe = {X3};
-        return th;
-      };
-      t.threads = {thread(kX, kY), thread(kY, kX)};
-      return t;
-    };
-    s.project = identity;
-    s.sim_weak = {0, 0};
-    add(std::move(s));
-  }
-
-  {
-    Table1Shape s;
-    s.name = "CoRR";
-    s.model_prog = corr_model();
-    s.weak = {2, 1};  // second same-location read regresses
-    s.weak_allowed = false;
-    s.sim_shows_weak = false;
-    add(std::move(s));  // model-only (see corr_model comment)
-  }
+  add("SB", make_sb(Op::kNop), {0, 0});
+  add("SB+dmb.st", make_sb(Op::kDmbSt), {0, 0});
+  add("SB+dmb.full", make_sb(Op::kDmbFull), {0, 0});
+  // [L]; po; [A] in bob: RCsc forbids (0,0) without a fence.
+  add("SB+rel-acq", make_sb_rel_acq(), {0, 0});
+  add("CoRR", make_corr(), {2, 1});  // second same-location read regresses
 
   // The documented simulator strengthenings: architecturally weak shapes
-  // (the model must allow them) the timing simulator can never exhibit
-  // because load values are sampled at issue / same-line writes serialize
-  // in request order (litmus.hpp "model fidelity").
-  auto lb = [&](std::string name, Op b, bool weak_allowed) {
-    Table1Shape s;
-    s.name = std::move(name);
-    s.model_prog = lb_model(b);
-    s.weak = {1, 1};
-    s.weak_allowed = weak_allowed;
-    s.sim_shows_weak = false;
-    s.sim_make = [b] { return make_lb(b); };
-    s.project = identity;
-    s.sim_weak = {1, 1};
-    add(std::move(s));
-  };
-  lb("LB", Op::kNop, true);
-  lb("LB+dmb.full", Op::kDmbFull, false);
-
-  {
-    Table1Shape s;
-    s.name = "S";
-    s.model_prog = s_model(Op::kNop);
-    s.weak = {1, 2};
-    s.weak_allowed = true;
-    s.sim_shows_weak = false;
-    s.sim_make = [] { return make_s(Op::kNop); };
-    s.project = identity;
-    s.sim_weak = {1, 2};
-    add(std::move(s));
-  }
-  {
-    Table1Shape s;
-    s.name = "S+dmb.st";
-    s.model_prog = s_model(Op::kDmbSt);
-    s.weak = {1, 2};
-    s.weak_allowed = false;
-    s.sim_shows_weak = false;
-    s.sim_make = [] { return make_s(Op::kDmbSt); };
-    s.project = identity;
-    s.sim_weak = {1, 2};
-    add(std::move(s));
-  }
-  {
-    Table1Shape s;
-    s.name = "2+2W";
-    s.model_prog = p2w2_model(Op::kNop);
-    s.weak = {1, 3};
-    s.weak_allowed = true;
-    s.sim_shows_weak = false;
-    s.sim_make = [] { return make_2p2w(Op::kNop); };
-    s.project = identity;
-    s.sim_weak = {1, 3};
-    add(std::move(s));
-  }
-  {
-    Table1Shape s;
-    s.name = "2+2W+dmb.st";
-    s.model_prog = p2w2_model(Op::kDmbSt);
-    s.weak = {1, 3};
-    s.weak_allowed = false;
-    s.sim_shows_weak = false;
-    s.sim_make = [] { return make_2p2w(Op::kDmbSt); };
-    s.project = identity;
-    s.sim_weak = {1, 3};
-    add(std::move(s));
-  }
+  // the timing simulator never exhibits, because load values are sampled
+  // at issue / same-line writes serialize in request order (litmus.hpp
+  // "model fidelity").
+  add("LB", make_lb(Op::kNop), {1, 1});
+  add("LB+dmb.full", make_lb(Op::kDmbFull), {1, 1});
+  add("S", make_s(Op::kNop), {1, 2});
+  add("S+dmb.st", make_s(Op::kDmbSt), {1, 2});
+  add("2+2W", make_2p2w(Op::kNop), {1, 3});
+  add("2+2W+dmb.st", make_2p2w(Op::kDmbSt), {1, 3});
   return rows;
 }
 

@@ -1,29 +1,25 @@
 // Table 1 shape registry: every litmus shape the paper's Table 1 (and the
-// supporting §2 evidence) relies on, in *both* of the repo's forms at once —
-// the timing-simulator Litmus and the canonical model::ConcurrentProgram the
-// axiomatic reference checker enumerates (ISSUE 4 litmus hygiene).
+// supporting §2 evidence) relies on. Each row is one litmus program: the
+// simulator sweeps `sim`, and the axiomatic reference checker enumerates
+// `model_prog`, which is `sim.prog` itself for every shape but MP.
 //
-// Before ISSUE 4 the allowed-outcome tables were hand-maintained booleans
-// scattered across bench/table1_litmus.cpp and the litmus tests. They are
-// now *derived*: derive_allowed() asks the reference model for the exact
-// allowed set, and model_allows_weak() replaces the hand-coded
-// "OBSERVED (allowed)" / "never (forbidden)" expectations. The legacy
-// booleans survive on each row only so the cross-check test
-// (tests/litmus/model_crosscheck_test.cpp) can prove the old tables and the
-// model agree on every shape.
+// The allowed-outcome tables are *derived*: derive_allowed() asks the
+// reference model for the exact allowed set, and model_allows_weak()
+// replaces hand-coded "OBSERVED (allowed)" / "never (forbidden)"
+// expectations. The golden corpus (litmus/golden.hpp) pins both the model
+// set and the simulator's observed set per platform preset.
 //
-// Two deliberate asymmetries, both documented per-row:
-//   * weak_allowed vs sim_shows_weak — the simulator is *stronger* than the
-//     architecture on load-side reorderings (LB, S, 2+2W), so a shape can be
-//     architecturally weak yet never weak in the simulator.
-//   * The MP consumer: the simulator polls (a backward branch the model does
-//     not enumerate) and samples load values at issue, which orders its
-//     reads. The canonical model consumer is the straight-line
-//     `ldr flag; dmb.ld; ldr data` — at least as strong as the poll — and
-//     the sim outcome {data} projects to the model outcome (1, data).
+// The one asymmetry is MP's consumer: the simulator polls (a backward
+// branch the model does not enumerate) and samples load values at issue,
+// which orders its reads. Its model form is the straight-line
+// `ldr flag; dmb.ld; ldr data` — at least as strong as the poll — and both
+// forms observe (flag, data).
+//
+// The simulator is *stronger* than the architecture on load-side
+// reorderings (LB, S, 2+2W): a shape can be architecturally weak yet never
+// weak in the simulator. The golden corpus's `sim` lines record which.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,25 +28,13 @@
 
 namespace armbar::litmus {
 
-/// One Table 1 row: a named shape with its model form, its weak outcome,
-/// and (for cross-checking only) the legacy hand-maintained expectations.
+/// One Table 1 row: a named litmus shape, its model form and its weak
+/// outcome.
 struct Table1Shape {
-  std::string name;                   ///< e.g. "MP+dmb.st"
-  model::ConcurrentProgram model_prog;
-  model::Outcome weak;                ///< the relaxed outcome, model form
-
-  // Legacy hand-maintained expectations, kept for the cross-check test.
-  bool weak_allowed = false;          ///< architecture allows `weak`
-  bool sim_shows_weak = false;        ///< the timing simulator exhibits it
-
-  /// Simulator-side litmus; null for model-only shapes (CoRR's sim probe is
-  /// a 100-iteration loop whose outcome shape does not project).
-  std::function<Litmus()> sim_make;
-  /// Projects a simulator outcome into model-outcome space (identity when
-  /// the observation lists already line up).
-  std::function<model::Outcome(const Outcome&)> project;
-  /// The weak outcome in simulator observation form.
-  Outcome sim_weak;
+  std::string name;                     ///< e.g. "MP+dmb.st"
+  Litmus sim;                           ///< what the simulator sweeps
+  model::ConcurrentProgram model_prog;  ///< what the model enumerates
+  model::Outcome weak;                  ///< the relaxed outcome
 };
 
 /// All registered shapes, in Table 1 order (MP rows first).
@@ -65,8 +49,8 @@ const Table1Shape& table1_shape(const std::string& name);
 model::OutcomeSet derive_allowed(const Table1Shape& s);
 
 /// Whether the reference model allows the shape's weak outcome. This — not
-/// a hand-coded boolean — is what bench/table1_litmus.cpp now prints and
-/// checks against.
+/// a hand-coded boolean — is what bench/table1_litmus.cpp prints and checks
+/// against.
 bool model_allows_weak(const Table1Shape& s);
 
 }  // namespace armbar::litmus

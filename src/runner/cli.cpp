@@ -62,8 +62,6 @@ int cli_main(int argc, char** argv) {
                 "enable the host-side self-profiler; adds a host_prof "
                 "section to --json reports (report-only: simulated results "
                 "and digests are unchanged)");
-  args.add_flag("no-profile",
-                "force host profiling off (default; rejects --profile)");
   args.add_optional_value("profile-folded", "PATH",
                           "with --profile: write collapsed stacks for "
                           "flamegraph.pl (default path: <bench>.prof.folded)");
@@ -86,14 +84,8 @@ int cli_main(int argc, char** argv) {
                  prog.c_str(), args.positionals().front().c_str());
     return 2;
   }
-  // Parse-time profile validation: the pair is mutually exclusive, and the
-  // export paths make no sense without the profiler on.
-  if (args.given("profile") && args.given("no-profile")) {
-    std::fprintf(stderr,
-                 "%s: --profile and --no-profile are mutually exclusive\n",
-                 prog.c_str());
-    return 2;
-  }
+  // Parse-time profile validation: the export paths make no sense without
+  // the profiler on.
   if (!args.given("profile") &&
       (args.given("profile-folded") || args.given("profile-chrome"))) {
     std::fprintf(stderr,

@@ -61,6 +61,20 @@ bool parse_program(const std::string& text, Program* out, std::string* err) {
   return true;
 }
 
+Program insert_nops(const Program& p, std::uint32_t at, std::uint32_t n) {
+  ARMBAR_CHECK_MSG(at <= p.size(), "insert_nops: pc out of range");
+  if (n == 0) return p;
+  Program out;
+  out.name = p.name;
+  out.code.reserve(p.code.size() + n);
+  out.code.insert(out.code.end(), p.code.begin(), p.code.begin() + at);
+  out.code.insert(out.code.end(), n, Instr{Op::kNop});
+  out.code.insert(out.code.end(), p.code.begin() + at, p.code.end());
+  for (Instr& ins : out.code)
+    if (is_branch(ins.op) && ins.target >= at) ins.target += n;
+  return out;
+}
+
 MicroOp decode_instr(const Instr& ins) {
   MicroOp u;
   u.op = ins.op;

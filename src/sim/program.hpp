@@ -47,6 +47,11 @@ struct Program {
 /// malformed line; on success *out holds the program.
 bool parse_program(const std::string& text, Program* out, std::string* err);
 
+/// `p` with `n` NOPs inserted before pc `at`. Every branch target >= `at`
+/// moves by `n`, so a label at `at` keeps pointing past the NOPs, exactly
+/// as `Asm` resolves it when `nops(n)` is emitted just before the label.
+Program insert_nops(const Program& p, std::uint32_t at, std::uint32_t n);
+
 // ---- predecoded micro-op stream (ISSUE 7 fast path) ----------------------
 //
 // Everything Core::issue needs per instruction, resolved once at load time

@@ -27,9 +27,6 @@ std::string to_string(OrderChoice c) {
   return "?";
 }
 
-namespace {
-
-/// Emit a plain barrier instruction for the choices that are barriers.
 void emit_barrier(Asm& a, OrderChoice c) {
   switch (c) {
     case OrderChoice::kDmbFull: a.dmb_full(); break;
@@ -42,6 +39,8 @@ void emit_barrier(Asm& a, OrderChoice c) {
     default: break;  // dependencies/acquire-release are not standalone
   }
 }
+
+namespace {
 
 constexpr bool is_plain_barrier(OrderChoice c) {
   switch (c) {

@@ -36,6 +36,11 @@ enum class OrderChoice : std::uint8_t {
 
 std::string to_string(OrderChoice c);
 
+/// Emit the plain barrier instruction a choice names (DMB, DSB or ISB);
+/// emit nothing for the others (none, acquire/release, dependencies), which
+/// are not standalone instructions.
+void emit_barrier(sim::Asm& a, OrderChoice c);
+
 /// Barrier placement relative to the nop block.
 enum class BarrierLoc : std::uint8_t { kNone, kLoc1, kLoc2 };
 

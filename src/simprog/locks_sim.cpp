@@ -28,20 +28,6 @@ constexpr Addr kCnaNodes = 0x90000;  // CNA nodes, 128B apart
 constexpr Addr kPrivBase = 0x100000; // per-core private counters
 constexpr std::uint32_t kPoolSize = 64;
 
-void emit_choice(Asm& a, OrderChoice c) {
-  switch (c) {
-    case OrderChoice::kDmbFull: a.dmb_full(); break;
-    case OrderChoice::kDmbSt: a.dmb_st(); break;
-    case OrderChoice::kDmbLd: a.dmb_ld(); break;
-    case OrderChoice::kDsbFull: a.dsb_full(); break;
-    case OrderChoice::kDsbSt: a.dsb_st(); break;
-    case OrderChoice::kDsbLd: a.dsb_ld(); break;
-    case OrderChoice::kIsb: a.isb(); break;
-    case OrderChoice::kCtrlIsb: a.isb(); break;  // after the bogus branch
-    default: break;
-  }
-}
-
 // Critical-section body: RMW `cs_lines` shared lines starting at kCsLines,
 // walk `ro` read-only lines, then counter++ (result in `ret_reg`). Scratch
 // registers: X29/X30 ONLY — callers keep live state in X10-X28.
@@ -91,7 +77,7 @@ Program make_ticket_program(const LockWorkload& w, OrderChoice release) {
   a.ldr(X10, X3, 0);
   a.addi(X10, X10, 1);
   a.str(X10, X3, 0);
-  emit_choice(a, release);            // unlock barrier under test
+  emit_barrier(a, release);           // unlock barrier under test
   a.addi(X8, X5, 1);
   a.str(X8, X1, 0);                   // now-serving++
   a.nops(w.interval_nops);
@@ -145,7 +131,7 @@ Program make_ffwd_server(const LockWorkload& w, const FfwdChoice& c) {
       a.isb();
       break;
     default:
-      emit_choice(a, c.request_barrier);
+      emit_barrier(a, c.request_barrier);
       break;
   }
   a.ldr(X17, X11, 8);                 // arg (line 5/6 input)
@@ -153,7 +139,7 @@ Program make_ffwd_server(const LockWorkload& w, const FfwdChoice& c) {
   a.add(X21, X1, X12);                // resp slot
   if (!c.pilot) {
     a.str(X18, X21, 8);               // resp->ret (line 6)
-    emit_choice(a, c.response_barrier);  // line 7
+    emit_barrier(a, c.response_barrier);  // line 7
     a.str(X13, X21, 0);               // resp flag = seq (line 8)
   } else {
     // Algorithm 6: shuffle the return value and piggyback it.
@@ -291,7 +277,7 @@ Program make_cna_program(const LockWorkload& w, const CnaChoice& c) {
   a.b("spin");
   a.label("got");
   if (c.acquire_barrier != OrderChoice::kLdar)
-    emit_choice(a, c.acquire_barrier);  // acquire edge under test
+    emit_barrier(a, c.acquire_barrier);  // acquire edge under test
   a.label("locked");
   emit_cs(a, w.cs_lines, w.cs_ro_lines, X9);
   // ---- unlock ----
@@ -391,7 +377,7 @@ Program make_cna_program(const LockWorkload& w, const CnaChoice& c) {
     a.movi(X29, 1);
     a.stlr(X29, X16, 64);
   } else {
-    emit_choice(a, c.release_barrier);  // release edge under test
+    emit_barrier(a, c.release_barrier);  // release edge under test
     a.movi(X29, 1);
     a.str(X29, X16, 64);
   }
@@ -503,7 +489,7 @@ Program make_ccsynch_program(const LockWorkload& w, const CcSynchChoice& c) {
     a.str(X18, X6, 80);               // ret
     a.movi(X16, 1);
     a.str(X16, X6, 72);               // completed = 1
-    emit_choice(a, c.response_barrier);  // the Fig 7 hotspot barrier
+    emit_barrier(a, c.response_barrier);  // the Fig 7 hotspot barrier
     a.str(XZR, X6, 64);               // wait = 0
   } else {
     a.ldr(X16, X6, 112);              // tx_cnt

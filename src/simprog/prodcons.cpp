@@ -19,19 +19,6 @@ constexpr Addr kConsState = 0x80000;  // consumer-private pilot state
 constexpr std::uint32_t kSlots = 8;   // ring capacity (power of two)
 constexpr std::uint32_t kPoolSize = 64;
 
-void emit_choice(Asm& a, OrderChoice c) {
-  switch (c) {
-    case OrderChoice::kDmbFull: a.dmb_full(); break;
-    case OrderChoice::kDmbSt: a.dmb_st(); break;
-    case OrderChoice::kDmbLd: a.dmb_ld(); break;
-    case OrderChoice::kDsbFull: a.dsb_full(); break;
-    case OrderChoice::kDsbSt: a.dsb_st(); break;
-    case OrderChoice::kDsbLd: a.dsb_ld(); break;
-    case OrderChoice::kIsb: a.isb(); break;
-    default: break;
-  }
-}
-
 // Register plan shared by the generators:
 //  X0 prodCnt addr   X1 consCnt addr   X2 buffer base  X3 hash pool base
 //  X10/X11 private state bases         X19 ring capacity
@@ -65,12 +52,12 @@ Program make_producer(const ProdConsCombo& combo, std::uint32_t msgs,
   a.blt("have");
   a.b("wait");
   a.label("have");
-  emit_choice(a, combo.avail);               // line 3
+  emit_barrier(a, combo.avail);              // line 3
   emit_slot_addr(a, X20, X9, 64);
   a.nops(work);                              // produceMsg()
   a.str(X20, X9, 0);                         // line 4: fill the slot (RMR)
   if (combo.publish != OrderChoice::kStlr && combo.publish != OrderChoice::kNone)
-    emit_choice(a, combo.publish);           // line 5
+    emit_barrier(a, combo.publish);          // line 5
   a.addi(X20, X20, 1);
   if (combo.publish == OrderChoice::kStlr) {
     a.stlr(X20, X0, 0);                      // line 6 as a store-release

@@ -31,8 +31,8 @@ LitmusConfig fault_config(std::uint64_t seed) {
 TEST(LitmusFault, MpWithDmbStNeverWeakUnderAnySeed) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_mp(Op::kDmbSt), fault_config(seed));
-    EXPECT_FALSE(report.saw({0})) << "seed " << seed << "\n" << report.str();
-    EXPECT_TRUE(report.saw({23})) << "seed " << seed << "\n" << report.str();
+    EXPECT_FALSE(report.saw({1, 0})) << "seed " << seed << "\n" << report.str();
+    EXPECT_TRUE(report.saw({1, 23})) << "seed " << seed << "\n" << report.str();
   }
 }
 
@@ -40,10 +40,10 @@ TEST(LitmusFault, MpBareOutcomesStayInAllowedSet) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto report = run_litmus(make_mp(Op::kNop), fault_config(seed));
     for (const auto& [outcome, n] : report.histogram) {
-      ASSERT_EQ(outcome.size(), 1u);
-      EXPECT_TRUE(outcome[0] == 0 || outcome[0] == 23)
-          << "seed " << seed << " produced impossible data value "
-          << outcome[0];
+      ASSERT_EQ(outcome.size(), 2u);
+      EXPECT_TRUE((outcome == Outcome{1, 0} || outcome == Outcome{1, 23}))
+          << "seed " << seed << " produced impossible (flag, data) "
+          << model::to_string(outcome);
     }
   }
 }

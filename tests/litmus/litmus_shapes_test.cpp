@@ -141,9 +141,9 @@ TEST_P(AllPlatformsMp, BarrierMatrixHolds) {
   cfg.platform = sim::platform_by_name(GetParam());
   cfg.binding = {CoreId{0}, CoreId{1}};
   // Store->store order needs DMB st/full/DSB; DMB ld is insufficient.
-  EXPECT_FALSE(run_litmus(make_mp(Op::kDmbSt), cfg).saw({0}));
-  EXPECT_FALSE(run_litmus(make_mp(Op::kDmbFull), cfg).saw({0}));
-  EXPECT_FALSE(run_litmus(make_mp(Op::kDsbFull), cfg).saw({0}));
+  EXPECT_FALSE(run_litmus(make_mp(Op::kDmbSt), cfg).saw({1, 0}));
+  EXPECT_FALSE(run_litmus(make_mp(Op::kDmbFull), cfg).saw({1, 0}));
+  EXPECT_FALSE(run_litmus(make_mp(Op::kDsbFull), cfg).saw({1, 0}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Platforms, AllPlatformsMp,

@@ -30,43 +30,43 @@ LitmusConfig cross_node_config() {
 TEST(LitmusMP, WeakOutcomeAllowedUnderWmm) {
   // Table 1: WMM allows local != 23.
   auto report = run_litmus(make_mp(Op::kNop), server_config());
-  EXPECT_TRUE(report.saw({0})) << report.str();
-  EXPECT_TRUE(report.saw({23})) << report.str();  // the strong outcome also occurs
+  EXPECT_TRUE(report.saw({1, 0})) << report.str();
+  EXPECT_TRUE(report.saw({1, 23})) << report.str();  // the strong outcome also occurs
 }
 
 TEST(LitmusMP, WeakOutcomeForbiddenUnderTso) {
   // Table 1: TSO forbids local != 23.
   auto report = run_litmus(make_mp(Op::kNop), server_config(/*tso=*/true));
-  EXPECT_FALSE(report.saw({0})) << report.str();
-  EXPECT_TRUE(report.saw({23})) << report.str();
+  EXPECT_FALSE(report.saw({1, 0})) << report.str();
+  EXPECT_TRUE(report.saw({1, 23})) << report.str();
 }
 
 TEST(LitmusMP, DmbStRestoresOrder) {
   auto report = run_litmus(make_mp(Op::kDmbSt), server_config());
-  EXPECT_FALSE(report.saw({0})) << report.str();
-  EXPECT_TRUE(report.saw({23})) << report.str();
+  EXPECT_FALSE(report.saw({1, 0})) << report.str();
+  EXPECT_TRUE(report.saw({1, 23})) << report.str();
 }
 
 TEST(LitmusMP, DmbFullRestoresOrder) {
   auto report = run_litmus(make_mp(Op::kDmbFull), server_config());
-  EXPECT_FALSE(report.saw({0})) << report.str();
+  EXPECT_FALSE(report.saw({1, 0})) << report.str();
 }
 
 TEST(LitmusMP, DsbRestoresOrder) {
   auto report = run_litmus(make_mp(Op::kDsbFull), server_config());
-  EXPECT_FALSE(report.saw({0})) << report.str();
+  EXPECT_FALSE(report.saw({1, 0})) << report.str();
 }
 
 TEST(LitmusMP, DmbLdOnProducerDoesNotOrderStores) {
   // DMB ld orders loads against later accesses; it does NOT order the
   // producer's two stores (Table 3: store->store needs DMB st).
   auto report = run_litmus(make_mp(Op::kDmbLd), server_config());
-  EXPECT_TRUE(report.saw({0})) << report.str();
+  EXPECT_TRUE(report.saw({1, 0})) << report.str();
 }
 
 TEST(LitmusMP, WeakOutcomeAlsoObservableAcrossNodes) {
   auto report = run_litmus(make_mp(Op::kNop), cross_node_config());
-  EXPECT_TRUE(report.saw({0})) << report.str();
+  EXPECT_TRUE(report.saw({1, 0})) << report.str();
 }
 
 TEST(LitmusMP, MobilePlatformAlsoWeak) {
@@ -74,7 +74,7 @@ TEST(LitmusMP, MobilePlatformAlsoWeak) {
   cfg.platform = sim::kirin960();
   cfg.binding = {0, 1};
   auto report = run_litmus(make_mp(Op::kNop), cfg);
-  EXPECT_TRUE(report.saw({0})) << report.str();
+  EXPECT_TRUE(report.saw({1, 0})) << report.str();
 }
 
 // ---- SB: store buffering ----
@@ -150,7 +150,7 @@ TEST(LitmusHarness, ReportFormats) {
   auto report = run_litmus(make_mp(Op::kDmbSt), cfg);
   const std::string s = report.str();
   EXPECT_NE(s.find("runs"), std::string::npos);
-  EXPECT_NE(s.find("{23}"), std::string::npos);
+  EXPECT_NE(s.find("{1,23}"), std::string::npos);
 }
 
 }  // namespace

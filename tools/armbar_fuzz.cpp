@@ -111,8 +111,6 @@ int main(int argc, char** argv) {
   args.add_flag("profile",
                 "enable the host-side self-profiler for the campaign; adds "
                 "a host_prof section to --json (report-only)");
-  args.add_flag("no-profile",
-                "force host profiling off (default; rejects --profile)");
 
   std::string err;
   if (!args.parse(argc, argv, &err)) {
@@ -126,12 +124,6 @@ int main(int argc, char** argv) {
   if (!args.positionals().empty()) {
     std::fprintf(stderr, "armbar-fuzz: unexpected argument '%s'\n",
                  args.positionals().front().c_str());
-    return 2;
-  }
-  if (args.given("profile") && args.given("no-profile")) {
-    std::fprintf(stderr,
-                 "armbar-fuzz: --profile and --no-profile are mutually "
-                 "exclusive\n");
     return 2;
   }
   const bool profile = args.given("profile");
