@@ -66,24 +66,7 @@ void mix_opt_config(Fingerprint* key, const opt::OptOptions& o) {
   key->mix(o.max_oracle_calls)
       .mix(static_cast<std::uint32_t>(o.final_verify))
       .mix(static_cast<std::uint32_t>(o.plant))
-      .mix(static_cast<std::uint32_t>(o.model.naive))
-      .mix(o.model.max_path_instructions)
-      .mix(o.model.max_execs_per_thread)
-      .mix(o.model.max_reads_per_thread)
-      .mix(o.model.max_value_domain)
-      .mix(o.model.max_candidates);
-}
-
-void mix_program(Fingerprint* key, const model::ConcurrentProgram& p) {
-  key->mix(p.name).mix(static_cast<std::uint32_t>(p.threads.size()));
-  for (const sim::Program& t : p.threads) key->mix(t);
-  key->mix(static_cast<std::uint32_t>(p.init.size()));
-  for (const auto& [addr, v] : p.init) key->mix(addr).mix(v);
-  key->mix(static_cast<std::uint32_t>(p.observe_regs.size()));
-  for (const auto& [t, r] : p.observe_regs)
-    key->mix(t).mix(static_cast<std::uint32_t>(r));
-  key->mix(static_cast<std::uint32_t>(p.observe_mem.size()));
-  for (const Addr a : p.observe_mem) key->mix(a);
+      .mix(o.model);
 }
 
 }  // namespace
@@ -132,7 +115,7 @@ ARMBAR_EXPERIMENT(barrier_opt, "Barrier opt",
     Fingerprint key = ExperimentContext::key();
     key.mix("barrier_opt/v1");
     mix_opt_config(&key, opts);
-    mix_program(&key, e.prog);
+    key.mix(e.prog);
     return ctx.cached(key, "opt " + e.prog.name, [&] {
       const opt::OptResult r = opt::optimize(e.prog, opts);
       trace::Json row = trace::Json::object();

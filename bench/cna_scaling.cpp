@@ -3,15 +3,15 @@
 // vs Table-3-weakened (LDAR/STLR handoff) vs the plain MCS baseline —
 // with *exact* retired-barrier counts per acquisition from the simulator's
 // core stats. The dynamic strong-minus-weakened barrier delta must match
-// the static per-handoff count the lockver templates advertise: the same
-// two standalone dmbs the verification harness proves removable.
+// the static per-handoff count of the edge table both this program and
+// the lockver templates are emitted from: the same two standalone dmbs
+// the verification harness proves removable.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
 #include "experiment_util.hpp"
-#include "lockver/templates.hpp"
 
 using namespace armbar;
 using namespace armbar::simprog;
@@ -28,17 +28,10 @@ ARMBAR_EXPERIMENT(cna_scaling, "CNA scaling",
     std::string title;
     CnaChoice choice;
   };
-  std::vector<Var> vars;
-  {
-    CnaChoice strong = CnaChoice::strong();
-    strong.local_handoff_cap = kCap;
-    CnaChoice weak = CnaChoice::weakened();
-    weak.local_handoff_cap = kCap;
-    CnaChoice mcs = CnaChoice::mcs();
-    mcs.local_handoff_cap = kCap;
-    vars = {{"CNA strong", strong}, {"CNA weakened", weak},
-            {"MCS baseline", mcs}};
-  }
+  std::vector<Var> vars = {{"CNA strong", CnaChoice::of(Strength::kStrong)},
+                           {"CNA weakened", CnaChoice::of(Strength::kWeakened)},
+                           {"MCS baseline", CnaChoice::mcs()}};
+  for (Var& v : vars) v.choice.local_handoff_cap = kCap;
   ctx.param("platform", spec.name);
   ctx.param("cap", std::to_string(kCap));
 
@@ -83,14 +76,12 @@ ARMBAR_EXPERIMENT(cna_scaling, "CNA scaling",
   t.note("the weakened handoff only pays the structural enqueue dmb st");
   t.print();
 
-  // The lockver templates advertise the static per-handoff dmb count for
-  // each strength; the dynamic delta at saturation must agree with it.
+  // The edge table gives the static per-handoff dmb count for each
+  // strength; the dynamic delta at saturation must agree with it.
   const std::uint32_t static_strong =
-      lockver::make_scenario(lockver::LockFamily::kCna,
-                             lockver::Strength::kStrong).handoff_dmbs;
+      handoff_edges(LockFamily::kCna, Strength::kStrong).dmbs();
   const std::uint32_t static_weak =
-      lockver::make_scenario(lockver::LockFamily::kCna,
-                             lockver::Strength::kWeakened).handoff_dmbs;
+      handoff_edges(LockFamily::kCna, Strength::kWeakened).dmbs();
   std::printf("  static handoff dmbs: strong=%u weakened=%u; dynamic delta "
               "at %u threads: %.2f/acq\n",
               static_strong, static_weak, kThreads.back(), delta_at_max);
@@ -103,5 +94,5 @@ ARMBAR_EXPERIMENT(cna_scaling, "CNA scaling",
   ctx.check(delta_at_max > 0.5 * (static_strong - static_weak) &&
                 delta_at_max < 1.05 * (static_strong - static_weak),
             "dynamic barrier savings per acquisition approach the static "
-            "per-handoff count the templates advertise");
+            "per-handoff count of the verified edge table");
 }

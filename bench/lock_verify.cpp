@@ -17,6 +17,7 @@
 #include "experiment_util.hpp"
 #include "fuzz/bundle.hpp"
 #include "lockver/harness.hpp"
+#include "sim/platform.hpp"
 
 using namespace armbar;
 using bench::json_num;
@@ -29,6 +30,21 @@ std::string sanitize(std::string s) {
   for (char& c : s)
     if (c == '/' || c == '+') c = '_';
   return s;
+}
+
+/// Everything a verdict depends on but the invariants (which the program's
+/// name selects): the whole program and the run grid the options expand to.
+void mix_verify(Fingerprint* key, const lockver::LockScenario& sc,
+                const lockver::VerifyOptions& opts) {
+  const fuzz::DiffOptions d = opts.diff_options();
+  key->mix(sc.prog).mix(opts.sim_crosscheck).mix(d.max_cycles);
+  key->mix(d.verify_every).mix(d.model);
+  key->mix(static_cast<std::uint32_t>(d.platforms.size()));
+  for (const std::string& p : d.platforms) key->mix(sim::platform_by_name(p));
+  key->mix(static_cast<std::uint32_t>(d.plans.size()));
+  for (const sim::fault::FaultPlan& plan : d.plans) key->mix(plan);
+  key->mix(static_cast<std::uint32_t>(d.skews.size()));
+  for (const std::uint32_t skew : d.skews) key->mix(skew);
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -55,11 +71,8 @@ ARMBAR_EXPERIMENT(lock_verify, "Lock verify",
   const auto rows = ctx.map(clean.size(), [&](std::size_t i) {
     const lockver::LockScenario& sc = clean[i];
     Fingerprint key = ExperimentContext::key();
-    key.mix("lock_verify/v1")
-        .mix(sc.name)
-        .mix(sc.prog.threads.size())
-        .mix(opts.chaos_seeds)
-        .mix(static_cast<std::uint32_t>(opts.skews.size()));
+    key.mix("lock_verify/v2");
+    mix_verify(&key, sc, opts);
     return ctx.cached(key, "verify " + sc.name, [&] {
       const lockver::VerifyResult res = lockver::verify(sc, opts);
       trace::Json row = trace::Json::object();
@@ -131,7 +144,8 @@ ARMBAR_EXPERIMENT(lock_verify, "Lock verify",
       const lockver::LockScenario sc =
           lockver::make_scenario(base.family, base.strength, bug);
       Fingerprint key = ExperimentContext::key();
-      key.mix("lock_verify/planted/v1").mix(sc.name);
+      key.mix("lock_verify/planted/v2");
+      mix_verify(&key, sc, model_only);
       const trace::Json row =
           ctx.cached(key, "plant " + sc.name, [&] {
             const lockver::VerifyResult res = lockver::verify(sc, model_only);

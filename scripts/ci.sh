@@ -25,8 +25,9 @@
 #   * the fresh-machine gate from the same sim_perf report: a fresh 64 MiB
 #     machine's whole life (construct, load, run, destroy) must stay within
 #     4x its run on every preset;
-#   * a bit-identity gate: all 18 figure/table experiments' points digests
-#     must match the pinned baseline exactly;
+#   * a bit-identity gate: all 18 figure/table experiments' points digests,
+#     and cna_scaling's (the one simulated lock no figure covers), must
+#     match the pinned baseline exactly;
 #   * a --profile smoke: the profiled report validates and carries
 #     host_prof, and every points digest is bit-identical to the
 #     unprofiled run (profiling never perturbs results);
@@ -205,14 +206,15 @@ echo "== fast-path speedup gate (>= 3x the PR-6 interpreter, per preset) =="
 
 echo "== bit-identity gate (points digests vs pinned baseline) =="
 # The fast-path interpreter must not move a single simulated number: all 18
-# figure/table experiments' sweep digests must match the pin. The pin is
+# figure/table experiments' sweep digests, and cna_scaling's, must match
+# the pin. The pin is
 # epoch-relative (each digest mixes the cache key — epoch, platform,
 # program hash, run config — with every point value), so it catches any
 # timing drift within the current epoch; equivalence of the ISSUE-7 code
 # to the pre-fast-path build was proven separately by rebuilding with the
 # old epoch string and reproducing the old pin (see POINTS_DIGESTS.json's
 # note). On an intentional epoch bump, repeat that check, then re-pin.
-"$BENCH" --filter 'fig*,table*,ablation*' --jobs "$(nproc)" \
+"$BENCH" --filter 'fig*,table*,ablation*,cna_scaling' --jobs "$(nproc)" \
     --cache-dir "$CACHE_DIR" \
     --json="$SMOKE_DIR/all-points.report.json" > /dev/null
 python3 - "$SMOKE_DIR/all-points.report.json" \

@@ -12,9 +12,9 @@ namespace {
 
 constexpr std::size_t kMaxFailures = 16;
 
-// FNV-1a 64 over a canonical string rendering — local so the fuzz layer
-// stays independent of the runner's Fingerprint.
-std::uint64_t fnv1a(const std::string& s) {
+}  // namespace
+
+std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {
     h ^= c;
@@ -22,8 +22,6 @@ std::uint64_t fnv1a(const std::string& s) {
   }
   return h;
 }
-
-}  // namespace
 
 const char* to_string(SimMutation m) {
   switch (m) {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/model.hpp"
@@ -30,6 +31,9 @@
 #include "sim/verify.hpp"
 
 namespace armbar::fuzz {
+
+/// FNV-1a 64 over a canonical rendering: DiffResult's and lockver's digests.
+std::uint64_t fnv1a(std::string_view s);
 
 /// Test-only simulator-side program mutation: the simulator runs the
 /// mutated program while the model judges the original. Used to plant a

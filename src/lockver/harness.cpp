@@ -2,20 +2,9 @@
 
 #include <sstream>
 
-#include "sim/platform.hpp"
-
 namespace armbar::lockver {
 
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Shared by verify() and replay_lock_bundle(): the verdict is a pure
 /// function of (program, invariants, diff grid, crosscheck flag), so a
@@ -66,16 +55,8 @@ VerifyResult verify_impl(const model::ConcurrentProgram& prog,
 }  // namespace
 
 fuzz::DiffOptions VerifyOptions::diff_options() const {
-  fuzz::DiffOptions d;
-  if (platforms.empty()) {
-    for (const auto& spec : sim::all_platforms())
-      d.platforms.push_back(spec.name);
-  } else {
-    d.platforms = platforms;
-  }
-  d.plans.push_back({});  // clean run first
-  for (std::uint32_t s = 1; s <= chaos_seeds; ++s)
-    d.plans.push_back(sim::fault::FaultPlan::chaos(s));
+  fuzz::DiffOptions d = fuzz::DiffOptions::defaults(chaos_seeds);
+  if (!platforms.empty()) d.platforms = platforms;
   d.skews = skews;
   d.max_cycles = max_cycles;
   d.model = model;
@@ -93,7 +74,7 @@ std::uint64_t VerifyResult::digest() const {
        << v.model_hits << ':' << v.sim_hits << ';';
   os << "|C" << crosschecked;
   if (crosschecked) os << ':' << diff.digest();
-  return fnv1a(os.str());
+  return fuzz::fnv1a(os.str());
 }
 
 std::string VerifyResult::summary() const {

@@ -1,12 +1,11 @@
 #include "lockver/templates.hpp"
 
-#include "common/check.hpp"
 #include "sim/program.hpp"
 
 namespace armbar::lockver {
 
-using sim::Asm;
 using namespace sim;
+using namespace simprog;
 
 const char* to_string(LockFamily f) {
   switch (f) {
@@ -65,54 +64,6 @@ bool planted_from_string(const std::string& s, PlantedBug* out) {
 
 namespace {
 
-// Emission helpers. Each returns the number of standalone dmb/dsb
-// instructions it contributed, so LockScenario::handoff_dmbs stays an
-// exact static count of the variant's barrier cost.
-
-/// Grant/flag read with the acquire edge: rd <- [rn]. kStrong uses a plain
-/// load followed by `dmb ish`; kWeakened uses LDAR. `dropped` removes the
-/// edge entirely (plain load).
-std::uint32_t emit_acquire_read(Asm& a, Reg rd, Reg rn, Strength s,
-                                bool dropped) {
-  if (dropped) {
-    a.ldr(rd, rn);
-    return 0;
-  }
-  if (s == Strength::kWeakened) {
-    a.ldar(rd, rn);
-    return 0;
-  }
-  a.ldr(rd, rn);
-  a.dmb_full();
-  return 1;
-}
-
-/// Grant store with the release edge: [rn] <- rs. kStrong: `dmb ish` then
-/// a plain store; kWeakened: STLR. Planted bugs: kDropRelease removes the
-/// edge (plain store); kDowngradeDmb substitutes `dmb st`, which orders
-/// the critical section's *stores* but not its *loads* before the grant —
-/// the classic insufficient release the ticket-unlock full barrier exists
-/// to prevent.
-std::uint32_t emit_release_store(Asm& a, Reg rs, Reg rn, Strength s,
-                                 PlantedBug b) {
-  if (b == PlantedBug::kDropRelease) {
-    a.str(rs, rn);
-    return 0;
-  }
-  if (b == PlantedBug::kDowngradeDmb) {
-    a.dmb_st();
-    a.str(rs, rn);
-    return 1;
-  }
-  if (s == Strength::kWeakened) {
-    a.stlr(rs, rn);
-    return 0;
-  }
-  a.dmb_full();
-  a.str(rs, rn);
-  return 1;
-}
-
 // ---------------- ticket ----------------
 //
 // Pre-assigned tickets: T0 holds (ticket 0), T1 waits on grant 1, T2 on
@@ -129,34 +80,37 @@ constexpr Addr kTS = 0x100;   // now-serving
 constexpr Addr kTD1 = 0x140;  // CS data written by T0
 constexpr Addr kTD2 = 0x180;  // CS data written by T1, read by T0's CS
 
-LockScenario make_ticket(Strength s, PlantedBug b) {
+LockScenario make_ticket(const HandoffEdges& e) {
   LockScenario sc;
-  std::uint32_t dmbs = 0;
 
   {  // T0: holder. CS = {str D1=1; ldr rA <- D2}; release; S=1.
     Asm a;
     a.movi(X1, kTD1).movi(X2, 1).str(X2, X1);
     a.movi(X3, kTD2).ldr(X4, X3);
     a.movi(X5, kTS).movi(X6, 1);
-    dmbs += emit_release_store(a, X6, X5, s, b);
+    emit_barrier(a, e.release);
+    emit_store(a, e.release, X6, X5);
     a.halt();
     sc.prog.threads.push_back(a.take("ticket-t0"));
   }
   {  // T1: waiter with ticket 1. Grant sample, guarded CS, release S=2.
     Asm a;
     a.movi(X1, kTS);
-    emit_acquire_read(a, X2, X1, s, b == PlantedBug::kDropAcquire);
+    emit_load(a, e.acquire, X2, X1);
+    emit_barrier(a, e.acquire);
     a.cmpi(X2, 1).bne("skip");
     a.movi(X3, kTD2).movi(X4, 7).str(X4, X3);
     a.movi(X5, 2);
-    emit_release_store(a, X5, X1, s, b);
+    emit_barrier(a, e.release);
+    emit_store(a, e.release, X5, X1);
     a.label("skip").halt();
     sc.prog.threads.push_back(a.take("ticket-t1"));
   }
   {  // T2: waiter with ticket 2 (observer of the whole grant chain).
     Asm a;
     a.movi(X1, kTS);
-    dmbs += emit_acquire_read(a, X2, X1, s, b == PlantedBug::kDropAcquire);
+    emit_load(a, e.acquire, X2, X1);
+    emit_barrier(a, e.acquire);
     a.movi(X3, kTD1).ldr(X4, X3);
     a.movi(X5, kTD2).ldr(X6, X5);
     a.halt();
@@ -165,7 +119,6 @@ LockScenario make_ticket(Strength s, PlantedBug b) {
 
   sc.prog.init = {{kTS, 0}, {kTD1, 0}, {kTD2, 0}};
   sc.prog.observe_regs = {{0, X4}, {1, X2}, {2, X2}, {2, X4}, {2, X6}};
-  sc.handoff_dmbs = dmbs;
 
   sc.invariants.push_back(
       {"mutual-exclusion",
@@ -209,9 +162,8 @@ constexpr Addr kCD2 = 0x1c0;    // CS data written by T1, read by T0's CS
 constexpr Addr kCNode = 0x200;  // T2's node body
 constexpr Addr kCLink = 0x240;  // T2's published next pointer
 
-LockScenario make_cna(Strength s, PlantedBug b) {
+LockScenario make_cna(const HandoffEdges& e) {
   LockScenario sc;
-  std::uint32_t dmbs = 0;
 
   {  // T0: holder. CS, queue-state transfer, queue scan, grant.
     Asm a;
@@ -224,14 +176,16 @@ LockScenario make_cna(Strength s, PlantedBug b) {
     a.eor(X9, X8, X8);
     a.movi(X10, kCNode).add(X10, X10, X9).ldr(X11, X10);
     a.movi(X12, kCSpin).movi(X13, 1);
-    dmbs += emit_release_store(a, X13, X12, s, b);
+    emit_barrier(a, e.release);
+    emit_store(a, e.release, X13, X12);
     a.halt();
     sc.prog.threads.push_back(a.take("cna-t0"));
   }
   {  // T1: granted waiter; reads queue state + CS data, writes its CS.
     Asm a;
     a.movi(X1, kCSpin);
-    dmbs += emit_acquire_read(a, X2, X1, s, b == PlantedBug::kDropAcquire);
+    emit_load(a, e.acquire, X2, X1);
+    emit_barrier(a, e.acquire);
     a.cmpi(X2, 1).bne("skip");
     a.movi(X3, kCSec).ldr(X4, X3);
     a.movi(X5, kCD1).ldr(X6, X5);
@@ -252,7 +206,6 @@ LockScenario make_cna(Strength s, PlantedBug b) {
                   {kCD2, 0},   {kCNode, 0}, {kCLink, 0}};
   sc.prog.observe_regs = {{0, X4}, {0, X8}, {0, X11},
                           {1, X2}, {1, X4}, {1, X6}};
-  sc.handoff_dmbs = dmbs;
 
   sc.invariants.push_back(
       {"mutual-exclusion",
@@ -280,12 +233,11 @@ LockScenario make_cna(Strength s, PlantedBug b) {
 //
 // One client round trip against the dedicated server (Algorithm 5): the
 // client publishes {arg, request-flag} with the fixed client-side
-// `dmb st`, then polls the response flag and reads the return value. The
-// server samples the request flag (line-4 acquire edge: dmb full strong,
-// LDAR weakened), reads the argument, runs the CS, and publishes
-// {return, response-flag} across the line-7 release edge (dmb full
-// strong, `dmb st` weakened — a store->store path, which is exactly why
-// the paper's Table 3 can weaken it).
+// `dmb st`, then polls the response flag (the reply edge) and reads the
+// return value. The server samples the request flag (the line-4 acquire
+// edge), reads the argument, runs the CS, and publishes {return,
+// response-flag} across the line-7 release edge — a store->store path,
+// which is exactly why the paper's Table 3 can weaken it to `dmb st`.
 //
 // Outcome tuple: [rF = T0:[RESP], rV = T0:[RET],
 //                 rR = T1:[REQ],  rArg = T1:[ARG]].
@@ -294,9 +246,8 @@ constexpr Addr kFArg = 0x140;
 constexpr Addr kFRet = 0x180;
 constexpr Addr kFResp = 0x1c0;
 
-LockScenario make_ffwd(Strength s, PlantedBug b) {
+LockScenario make_ffwd(const HandoffEdges& e) {
   LockScenario sc;
-  std::uint32_t dmbs = 0;
 
   {  // T0: client. Request publication (fixed), response poll (clean
      // acquire edge in both strengths; server-side bugs only).
@@ -305,7 +256,8 @@ LockScenario make_ffwd(Strength s, PlantedBug b) {
     a.dmb_st();
     a.movi(X3, kFReq).movi(X4, 1).str(X4, X3);
     a.movi(X5, kFResp);
-    dmbs += emit_acquire_read(a, X6, X5, s, /*dropped=*/false);
+    emit_load(a, e.reply, X6, X5);
+    emit_barrier(a, e.reply);
     a.movi(X7, kFRet).ldr(X8, X7);
     a.halt();
     sc.prog.threads.push_back(a.take("ffwd-client"));
@@ -313,34 +265,20 @@ LockScenario make_ffwd(Strength s, PlantedBug b) {
   {  // T1: server. Line-4 acquire edge, CS, line-7 release edge.
     Asm a;
     a.movi(X1, kFReq);
-    dmbs += emit_acquire_read(a, X2, X1, s, b == PlantedBug::kDropAcquire);
+    emit_load(a, e.acquire, X2, X1);
+    emit_barrier(a, e.acquire);
     a.movi(X3, kFArg).ldr(X4, X3);
     a.cmpi(X2, 1).bne("skip");
     a.movi(X5, kFRet).movi(X6, 7).str(X6, X5);
-    switch (b) {
-      case PlantedBug::kDropRelease:
-        break;  // no edge at all
-      case PlantedBug::kDowngradeDmb:
-        a.dmb_ld();  // wrong-direction barrier: orders loads, not stores
-        ++dmbs;
-        break;
-      default:
-        if (s == Strength::kWeakened) {
-          a.dmb_st();  // Table 3: the response path is store -> store
-        } else {
-          a.dmb_full();
-        }
-        ++dmbs;
-        break;
-    }
-    a.movi(X7, kFResp).movi(X8, 1).str(X8, X7);
+    emit_barrier(a, e.release);
+    a.movi(X7, kFResp).movi(X8, 1);
+    emit_store(a, e.release, X8, X7);
     a.label("skip").halt();
     sc.prog.threads.push_back(a.take("ffwd-server"));
   }
 
   sc.prog.init = {{kFReq, 0}, {kFArg, 0}, {kFRet, 0}, {kFResp, 0}};
   sc.prog.observe_regs = {{0, X6}, {0, X8}, {1, X2}, {1, X4}};
-  sc.handoff_dmbs = dmbs;
 
   sc.invariants.push_back(
       {"request-payload",
@@ -359,12 +297,14 @@ LockScenario make_ffwd(Strength s, PlantedBug b) {
 }  // namespace
 
 LockScenario make_scenario(LockFamily f, Strength s, PlantedBug b) {
+  const HandoffEdges e = handoff_edges(f, s, b);
   LockScenario sc;
   switch (f) {
-    case LockFamily::kTicket: sc = make_ticket(s, b); break;
-    case LockFamily::kCna: sc = make_cna(s, b); break;
-    case LockFamily::kFfwd: sc = make_ffwd(s, b); break;
+    case LockFamily::kTicket: sc = make_ticket(e); break;
+    case LockFamily::kCna: sc = make_cna(e); break;
+    case LockFamily::kFfwd: sc = make_ffwd(e); break;
   }
+  sc.handoff_dmbs = e.dmbs();
   sc.family = f;
   sc.strength = s;
   sc.planted = b;

@@ -11,14 +11,17 @@
 // atomicity of ticket-taking is orthogonal (guaranteed by the exclusives)
 // and is exercised by the simulator-side runs instead.
 //
-// Every family comes in two strengths:
-//   * kStrong    — standalone `dmb ish` on the acquire and release edges;
+// Every family comes in two strengths, read from simprog::handoff_edges,
+// the one edge table the simulator's lock programs are emitted from too:
+//   * kStrong    — `dmb ld` on the acquire edges, `dmb ish` on the
+//                  release edges (and on FFWD's line-4 request read);
 //   * kWeakened  — the paper's Table 3 suggestion: LDAR on the grant/flag
 //                  read, STLR on the grant store (ticket/CNA) or `dmb st`
 //                  on the store->store response path (FFWD).
-// Both must satisfy every invariant; the PlantedBug modes each remove or
-// downgrade one required edge and must make at least one invariant fail —
-// that asymmetry is the harness's proof that it can catch ordering bugs.
+// Both must satisfy every invariant; the PlantedBug modes each edit one
+// table entry, removing or downgrading one required edge, and must make at
+// least one invariant fail — that asymmetry is the harness's proof that it
+// can catch ordering bugs.
 //
 // Invariants are named predicates over the model outcome tuple, so a
 // violation serializes as (scenario name, invariant name, witness outcome)
@@ -31,17 +34,13 @@
 #include <vector>
 
 #include "model/model.hpp"
+#include "simprog/locks_sim.hpp"
 
 namespace armbar::lockver {
 
-enum class LockFamily : std::uint8_t { kTicket, kCna, kFfwd };
-enum class Strength : std::uint8_t { kStrong, kWeakened };
-enum class PlantedBug : std::uint8_t {
-  kNone,
-  kDropAcquire,    ///< the acquire edge after the grant/flag read is removed
-  kDropRelease,    ///< the release edge before the grant/flag store is removed
-  kDowngradeDmb,   ///< the release dmb is downgraded to an insufficient kind
-};
+using simprog::LockFamily;
+using simprog::PlantedBug;
+using simprog::Strength;
 
 const char* to_string(LockFamily f);
 const char* to_string(Strength s);
@@ -62,8 +61,8 @@ struct Invariant {
 
 /// One verifiable lock scenario: the model program plus its invariants and
 /// the static per-acquire barrier cost of the variant (dmb/dsb count on
-/// the acquire+release path — the number the cna_scaling experiment
-/// confirms dynamically).
+/// the acquire+release path, HandoffEdges::dmbs() — the number the
+/// cna_scaling experiment confirms dynamically).
 struct LockScenario {
   LockFamily family = LockFamily::kTicket;
   Strength strength = Strength::kStrong;
@@ -74,9 +73,9 @@ struct LockScenario {
   std::uint32_t handoff_dmbs = 0;  ///< standalone dmb/dsb per handoff
 };
 
-/// Build one scenario. Planted bugs are applied relative to the chosen
-/// strength (e.g. kDropRelease removes the dmb in kStrong and turns the
-/// STLR into a plain STR in kWeakened).
+/// Build one scenario from handoff_edges(f, s, b). Planted bugs are
+/// applied relative to the chosen strength (e.g. kDropRelease removes the
+/// dmb in kStrong and turns the STLR into a plain STR in kWeakened).
 LockScenario make_scenario(LockFamily f, Strength s,
                            PlantedBug b = PlantedBug::kNone);
 

@@ -89,6 +89,28 @@ Fingerprint& Fingerprint::mix(const sim::fault::FaultPlan& plan) {
   return *this;
 }
 
+Fingerprint& Fingerprint::mix(const model::ConcurrentProgram& p) {
+  mix(p.name).mix(static_cast<std::uint32_t>(p.threads.size()));
+  for (const sim::Program& t : p.threads) mix(t);
+  mix(static_cast<std::uint32_t>(p.init.size()));
+  for (const auto& [addr, v] : p.init) mix(addr).mix(v);
+  mix(static_cast<std::uint32_t>(p.observe_regs.size()));
+  for (const auto& [t, r] : p.observe_regs)
+    mix(t).mix(static_cast<std::uint32_t>(r));
+  mix(static_cast<std::uint32_t>(p.observe_mem.size()));
+  for (const Addr a : p.observe_mem) mix(a);
+  return *this;
+}
+
+Fingerprint& Fingerprint::mix(const model::ModelOptions& o) {
+  return mix(o.naive)
+      .mix(o.max_path_instructions)
+      .mix(o.max_execs_per_thread)
+      .mix(o.max_reads_per_thread)
+      .mix(o.max_value_domain)
+      .mix(o.max_candidates);
+}
+
 std::string Fingerprint::hex() const {
   char buf[33];
   std::snprintf(buf, sizeof buf, "%016llx%016llx",

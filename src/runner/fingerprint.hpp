@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 
+#include "model/model.hpp"
 #include "sim/fault/fault.hpp"
 #include "sim/platform.hpp"
 #include "sim/program.hpp"
@@ -37,6 +38,11 @@ class Fingerprint {
   /// Every fault-plan field, seed included — a warm cache must never hand
   /// back fault-free results for a faulted run (ISSUE 4 audit).
   Fingerprint& mix(const sim::fault::FaultPlan& plan);
+  /// Every field of a litmus-style program: name, threads, initial memory
+  /// and both observation lists.
+  Fingerprint& mix(const model::ConcurrentProgram& p);
+  /// Every enumeration budget and the engine choice.
+  Fingerprint& mix(const model::ModelOptions& o);
 
   std::uint64_t lo() const { return lo_; }
   std::uint64_t hi() const { return hi_; }

@@ -40,9 +40,23 @@ void emit_barrier(Asm& a, OrderChoice c) {
   }
 }
 
-namespace {
+void emit_load(Asm& a, OrderChoice c, Reg rd, Reg rn, std::int64_t off) {
+  switch (c) {
+    case OrderChoice::kLdar: a.ldar(rd, rn, off); break;
+    case OrderChoice::kLdapr: a.ldapr(rd, rn, off); break;
+    default: a.ldr(rd, rn, off); break;
+  }
+}
 
-constexpr bool is_plain_barrier(OrderChoice c) {
+void emit_store(Asm& a, OrderChoice c, Reg rs, Reg rn, std::int64_t off) {
+  if (c == OrderChoice::kStlr) {
+    a.stlr(rs, rn, off);
+  } else {
+    a.str(rs, rn, off);
+  }
+}
+
+bool is_plain_barrier(OrderChoice c) {
   switch (c) {
     case OrderChoice::kDmbFull: case OrderChoice::kDmbSt:
     case OrderChoice::kDmbLd: case OrderChoice::kDsbFull:
@@ -53,8 +67,6 @@ constexpr bool is_plain_barrier(OrderChoice c) {
       return false;
   }
 }
-
-}  // namespace
 
 Program make_intrinsic_model(OrderChoice barrier, std::uint32_t nops,
                              std::uint32_t iters) {
@@ -89,11 +101,7 @@ Program make_store_store_model(OrderChoice choice, BarrierLoc loc,
   if (loc == BarrierLoc::kLoc1) emit_barrier(a, choice);
   a.nops(nops);
   if (loc == BarrierLoc::kLoc2) emit_barrier(a, choice);
-  if (choice == OrderChoice::kStlr) {
-    a.stlr(X4, X1, 0);                                // store-release flavour
-  } else {
-    a.str(X4, X1, 0);
-  }
+  emit_store(a, choice, X4, X1, 0);                   // STLR or plain
   a.addi(X20, X20, 1);
   a.cmpi(X20, iters);
   a.blt("loop");
@@ -112,13 +120,7 @@ Program make_load_store_model(OrderChoice choice, BarrierLoc loc,
   a.label("loop");
   a.addi(X0, X0, 64);
   a.addi(X1, X1, 64);
-  if (choice == OrderChoice::kLdar) {
-    a.ldar(X3, X0, 0);                                // acquiring load (RMR)
-  } else if (choice == OrderChoice::kLdapr) {
-    a.ldapr(X3, X0, 0);                               // RCpc acquire (RMR)
-  } else {
-    a.ldr(X3, X0, 0);                                 // plain load (RMR)
-  }
+  emit_load(a, choice, X3, X0, 0);                    // the RMR
   if (loc == BarrierLoc::kLoc1) emit_barrier(a, choice);
   a.nops(nops);
   if (loc == BarrierLoc::kLoc2) emit_barrier(a, choice);
@@ -146,11 +148,8 @@ Program make_load_store_model(OrderChoice choice, BarrierLoc loc,
       if (choice == OrderChoice::kCtrlIsb) a.isb();
       a.str(X4, X1, 0);
       break;
-    case OrderChoice::kStlr:
-      a.stlr(X4, X1, 0);
-      break;
     default:
-      a.str(X4, X1, 0);
+      emit_store(a, choice, X4, X1, 0);
       break;
   }
   a.addi(X20, X20, 1);

@@ -41,6 +41,19 @@ std::string to_string(OrderChoice c);
 /// are not standalone instructions.
 void emit_barrier(sim::Asm& a, OrderChoice c);
 
+/// True for the choices emit_barrier turns into an instruction.
+bool is_plain_barrier(OrderChoice c);
+
+/// rd <- [rn + off]: LDAR for kLdar, LDAPR for kLdapr, else a plain LDR.
+/// With emit_barrier of the same choice after it, an acquire edge is an
+/// acquiring load or a plain load and a barrier, never both.
+void emit_load(sim::Asm& a, OrderChoice c, sim::Reg rd, sim::Reg rn,
+               std::int64_t off = 0);
+/// [rn + off] <- rs: STLR for kStlr, else a plain STR (a release edge is
+/// emit_barrier then emit_store of one choice).
+void emit_store(sim::Asm& a, OrderChoice c, sim::Reg rs, sim::Reg rn,
+                std::int64_t off = 0);
+
 /// Barrier placement relative to the nop block.
 enum class BarrierLoc : std::uint8_t { kNone, kLoc1, kLoc2 };
 

@@ -1,11 +1,31 @@
 #include "simprog/locks_sim.hpp"
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
+#include "simprog/prodcons.hpp"
 
 namespace armbar::simprog {
 
 using namespace sim;
+
+HandoffEdges handoff_edges(LockFamily f, Strength s, PlantedBug b) {
+  using enum OrderChoice;
+  static constexpr HandoffEdges kEdges[3][2] = {
+      // kStrong                     kWeakened
+      {{kDmbLd, kDmbFull, kNone}, {kLdar, kStlr, kNone}},      // ticket
+      {{kDmbLd, kDmbFull, kNone}, {kLdar, kStlr, kNone}},      // CNA
+      {{kDmbFull, kDmbFull, kDmbLd}, {kLdar, kDmbSt, kLdar}},  // FFWD
+  };
+  HandoffEdges e = kEdges[static_cast<int>(f)][static_cast<int>(s)];
+  switch (b) {
+    case PlantedBug::kNone: break;
+    case PlantedBug::kDropAcquire: e.acquire = kNone; break;
+    case PlantedBug::kDropRelease: e.release = kNone; break;
+    case PlantedBug::kDowngradeDmb:
+      e.release = f == LockFamily::kFfwd ? kDmbLd : kDmbSt;
+      break;
+  }
+  return e;
+}
 
 namespace {
 
@@ -20,13 +40,11 @@ constexpr Addr kRespBase = 0x30000;  // FFWD response slots, 128B apart
 constexpr Addr kServed = 0x40000;    // server-private served[] (8B each)
 constexpr Addr kTxState = 0x41000;   // server-private pilot tx state (32B)
 constexpr Addr kRxState = 0x50000;   // client-private pilot rx state (32B)
-constexpr Addr kHashPool = 0x60000;  // 64 shared read-only seeds
 constexpr Addr kTail = 0x70000;      // CC-Synch tail pointer
 constexpr Addr kNodes = 0x80000;     // CC-Synch nodes, 192B apart
 constexpr Addr kCnaTail = 0x74000;   // CNA tail pointer
 constexpr Addr kCnaNodes = 0x90000;  // CNA nodes, 128B apart
 constexpr Addr kPrivBase = 0x100000; // per-core private counters
-constexpr std::uint32_t kPoolSize = 64;
 
 // Critical-section body: RMW `cs_lines` shared lines starting at kCsLines,
 // walk `ro` read-only lines, then counter++ (result in `ret_reg`). Scratch
@@ -54,6 +72,8 @@ void emit_cs(Asm& a, std::uint32_t cs_lines, std::uint32_t ro, Reg ret_reg) {
 // ---------------- ticket lock ----------------
 
 Program make_ticket_program(const LockWorkload& w, OrderChoice release) {
+  const OrderChoice acquire =
+      handoff_edges(LockFamily::kTicket, Strength::kStrong).acquire;
   Asm a;
   // X0=next, X1=serving, X3=private counter addr (set per core), X21=iters.
   a.movi(X0, kNext).movi(X1, kServing);
@@ -65,13 +85,13 @@ Program make_ticket_program(const LockWorkload& w, OrderChoice release) {
   a.stxr(X7, X6, X0);
   a.cbnz(X7, "retry");
   a.label("spin");
-  a.ldr(X8, X1, 0);
+  emit_load(a, acquire, X8, X1, 0);
   a.cmp(X8, X5);
   a.beq("got");
   a.wfe();
   a.b("spin");
   a.label("got");
-  a.dmb_ld();                         // acquire (Table 3: load -> any)
+  emit_barrier(a, acquire);           // acquire edge (Table 3: load -> any)
   emit_cs(a, w.cs_lines, w.cs_ro_lines, X9);
   // Private (local) per-thread counter, as in the paper's ticket bench.
   a.ldr(X10, X3, 0);
@@ -79,7 +99,7 @@ Program make_ticket_program(const LockWorkload& w, OrderChoice release) {
   a.str(X10, X3, 0);
   emit_barrier(a, release);           // unlock barrier under test
   a.addi(X8, X5, 1);
-  a.str(X8, X1, 0);                   // now-serving++
+  emit_store(a, release, X8, X1, 0);  // now-serving++
   a.nops(w.interval_nops);
   a.addi(X20, X20, 1);
   a.cmpi(X20, w.iters);
@@ -103,11 +123,7 @@ Program make_ffwd_server(const LockWorkload& w, const FfwdChoice& c) {
   a.label("client");
   a.lsli(X12, X10, 7);
   a.add(X11, X0, X12);                // req slot
-  if (c.request_barrier == OrderChoice::kLdar) {
-    a.ldar(X13, X11, 0);              // line 1 read with acquire
-  } else {
-    a.ldr(X13, X11, 0);
-  }
+  emit_load(a, c.request_barrier, X13, X11, 0);  // line 1 (LDAR for kLdar)
   a.lsli(X15, X10, 3);
   a.add(X14, X2, X15);
   a.ldr(X16, X14, 0);                 // served[i]
@@ -115,9 +131,6 @@ Program make_ffwd_server(const LockWorkload& w, const FfwdChoice& c) {
   a.beq("next");
   a.str(X13, X14, 0);                 // served[i] = seq (line 3)
   switch (c.request_barrier) {        // line 4
-    case OrderChoice::kLdar:
-    case OrderChoice::kNone:
-      break;
     case OrderChoice::kAddrDep: {
       // Bogus address dependency folded into the arg load below.
       a.eor(X17, X13, X13);
@@ -140,7 +153,7 @@ Program make_ffwd_server(const LockWorkload& w, const FfwdChoice& c) {
   if (!c.pilot) {
     a.str(X18, X21, 8);               // resp->ret (line 6)
     emit_barrier(a, c.response_barrier);  // line 7
-    a.str(X13, X21, 0);               // resp flag = seq (line 8)
+    emit_store(a, c.response_barrier, X13, X21, 0);  // resp flag (line 8)
   } else {
     // Algorithm 6: shuffle the return value and piggyback it.
     a.lsli(X22, X10, 5);
@@ -180,6 +193,8 @@ Program make_ffwd_server(const LockWorkload& w, const FfwdChoice& c) {
 Program make_ffwd_client(const LockWorkload& w, const FfwdChoice& c) {
   // Per-core registers set by the harness:
   //   X0 = my req slot, X1 = my resp slot, X5 = my rx state (pilot).
+  const OrderChoice reply =
+      handoff_edges(LockFamily::kFfwd, Strength::kStrong).reply;
   Asm a;
   a.movi(X4, kHashPool);
   a.movi(X7, 0);                      // request sequence
@@ -191,13 +206,13 @@ Program make_ffwd_client(const LockWorkload& w, const FfwdChoice& c) {
   a.str(X7, X0, 0);                   // req_seq
   if (!c.pilot) {
     a.label("spin");
-    a.ldr(X8, X1, 0);
+    emit_load(a, reply, X8, X1, 0);
     a.cmp(X8, X7);
     a.beq("got");
     a.wfe();
     a.b("spin");
     a.label("got");
-    a.dmb_ld();
+    emit_barrier(a, reply);
     a.ldr(X9, X1, 8);                 // ret
   } else {
     a.label("poll");
@@ -267,17 +282,12 @@ Program make_cna_program(const LockWorkload& w, const CnaChoice& c) {
   a.cbz(X6, "locked");
   a.str(X1, X6, 0);                   // pred->next = me
   a.label("spin");
-  if (c.acquire_barrier == OrderChoice::kLdar) {
-    a.ldar(X7, X1, 64);
-  } else {
-    a.ldr(X7, X1, 64);
-  }
+  emit_load(a, c.acquire_barrier, X7, X1, 64);
   a.cbnz(X7, "got");
   a.wfe();
   a.b("spin");
   a.label("got");
-  if (c.acquire_barrier != OrderChoice::kLdar)
-    emit_barrier(a, c.acquire_barrier);  // acquire edge under test
+  emit_barrier(a, c.acquire_barrier);  // acquire edge under test
   a.label("locked");
   emit_cs(a, w.cs_lines, w.cs_ro_lines, X9);
   // ---- unlock ----
@@ -373,14 +383,9 @@ Program make_cna_program(const LockWorkload& w, const CnaChoice& c) {
   a.str(X10, X16, 72);                // transfer the secondary queue
   a.str(X11, X16, 80);
   a.str(X12, X16, 88);
-  if (c.release_barrier == OrderChoice::kStlr) {
-    a.movi(X29, 1);
-    a.stlr(X29, X16, 64);
-  } else {
-    emit_barrier(a, c.release_barrier);  // release edge under test
-    a.movi(X29, 1);
-    a.str(X29, X16, 64);
-  }
+  emit_barrier(a, c.release_barrier);  // release edge under test
+  a.movi(X29, 1);
+  emit_store(a, c.release_barrier, X29, X16, 64);
   a.label("after");
   a.nops(w.interval_nops);
   a.addi(X20, X20, 1);
@@ -536,17 +541,6 @@ Program make_ccsynch_program(const LockWorkload& w, const CcSynchChoice& c) {
 
 // ---------------- runners ----------------
 
-void fill_pool(Machine& m) {
-  Rng rng(0x9e3779b9);
-  for (std::uint32_t i = 0; i < kPoolSize; ++i) {
-    std::uint64_t s;
-    do {
-      s = rng.next();
-    } while (s == 0);
-    m.mem().poke(kHashPool + i * 8, s);
-  }
-}
-
 LockResult finish(const sim::PlatformSpec& spec, Machine& m, RunResult& r,
                   const LockWorkload& w) {
   LockResult res;
@@ -578,7 +572,7 @@ LockResult run_ffwd(const sim::PlatformSpec& spec, const LockWorkload& w,
                     const FfwdChoice& choice) {
   ARMBAR_CHECK(w.threads + 1 <= spec.total_cores());
   Machine m(spec, 8u << 20);
-  fill_pool(m);
+  fill_hash_pool(m);
   Program server = make_ffwd_server(w, choice);
   Program client = make_ffwd_client(w, choice);
   m.load_program(0, server);  // core 0 is the dedicated server
@@ -611,7 +605,7 @@ LockResult run_ccsynch(const sim::PlatformSpec& spec, const LockWorkload& w,
                        const CcSynchChoice& choice) {
   ARMBAR_CHECK(w.threads <= spec.total_cores());
   Machine m(spec, 8u << 20);
-  fill_pool(m);
+  fill_hash_pool(m);
   // Dummy node: owner-less; its first owner combines immediately.
   const Addr dummy = kNodes;
   m.mem().poke(kTail, dummy);

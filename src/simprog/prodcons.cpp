@@ -13,11 +13,9 @@ namespace {
 constexpr Addr kProdCnt = 0x1000;
 constexpr Addr kConsCnt = 0x2000;
 constexpr Addr kBuffer = 0x10000;     // slots of 64B (or batch stride)
-constexpr Addr kHashPool = 0x60000;   // 64 read-only seeds
 constexpr Addr kProdState = 0x70000;  // producer-private pilot state
 constexpr Addr kConsState = 0x80000;  // consumer-private pilot state
 constexpr std::uint32_t kSlots = 8;   // ring capacity (power of two)
-constexpr std::uint32_t kPoolSize = 64;
 
 // Register plan shared by the generators:
 //  X0 prodCnt addr   X1 consCnt addr   X2 buffer base  X3 hash pool base
@@ -56,14 +54,9 @@ Program make_producer(const ProdConsCombo& combo, std::uint32_t msgs,
   emit_slot_addr(a, X20, X9, 64);
   a.nops(work);                              // produceMsg()
   a.str(X20, X9, 0);                         // line 4: fill the slot (RMR)
-  if (combo.publish != OrderChoice::kStlr && combo.publish != OrderChoice::kNone)
-    emit_barrier(a, combo.publish);          // line 5
+  emit_barrier(a, combo.publish);            // line 5
   a.addi(X20, X20, 1);
-  if (combo.publish == OrderChoice::kStlr) {
-    a.stlr(X20, X0, 0);                      // line 6 as a store-release
-  } else {
-    a.str(X20, X0, 0);                       // line 6
-  }
+  emit_store(a, combo.publish, X20, X0, 0);  // line 6 (STLR for kStlr)
   a.cmpi(X20, msgs);
   a.blt("loop");
   a.halt();
@@ -336,15 +329,7 @@ Program make_batch_consumer(bool pilot, std::uint32_t words, std::uint32_t msgs,
 
 void setup_memory(sim::Machine& m, const sim::PlatformSpec& spec,
                   CoreId prod, CoreId cons) {
-  // Hash pool: identical deterministic seeds for both sides.
-  Rng rng(0x9e3779b9);
-  for (std::uint32_t i = 0; i < kPoolSize; ++i) {
-    std::uint64_t s;
-    do {
-      s = rng.next();
-    } while (s == 0);
-    m.mem().poke(kHashPool + i * 8, s);
-  }
+  fill_hash_pool(m);  // identical deterministic seeds for both sides
   // NUMA placement: shared state lives on the producer's node.
   m.mem().set_home(0, 1u << 20, spec.node_of(prod));
   (void)cons;
@@ -363,6 +348,17 @@ ProdConsResult finish(const sim::PlatformSpec& spec, sim::Machine& m,
 }
 
 }  // namespace
+
+void fill_hash_pool(sim::Machine& m) {
+  Rng rng(0x9e3779b9);
+  for (std::uint32_t i = 0; i < kPoolSize; ++i) {
+    std::uint64_t s;
+    do {
+      s = rng.next();
+    } while (s == 0);
+    m.mem().poke(kHashPool + i * 8, s);
+  }
+}
 
 std::string ProdConsCombo::name() const {
   return to_string(avail) + " - " + to_string(publish);

@@ -19,6 +19,12 @@
 
 namespace armbar::simprog {
 
+/// The Pilot hash pool (Algorithms 3-6): kPoolSize nonzero seeds at
+/// kHashPool, the same on every run, shared by Pilot channels and locks.
+inline constexpr Addr kHashPool = 0x60000;
+inline constexpr std::uint32_t kPoolSize = 64;
+void fill_hash_pool(sim::Machine& m);
+
 /// Producer barrier sites (Algorithm 2 lines 3 and 5).
 struct ProdConsCombo {
   OrderChoice avail = OrderChoice::kDmbLd;     ///< line 3

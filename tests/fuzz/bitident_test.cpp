@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/diff.hpp"
 #include "fuzz/gen.hpp"
 #include "sim/fault/fault.hpp"
 #include "sim/machine.hpp"
@@ -34,15 +35,6 @@ namespace {
 
 constexpr std::uint64_t kFirstSeed = 1;
 constexpr std::uint64_t kNumSeeds = 100;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string hex64(std::uint64_t v) {
   std::ostringstream os;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "sim/isa.hpp"
 #include "sim/program.hpp"
 
 namespace armbar::lockver {
@@ -38,7 +41,8 @@ TEST(LockverTemplates, CleanInventory) {
 
 // The whole point of the paper's Table 3 weakenings: the weakened variant
 // of every family spends strictly fewer standalone dmb instructions per
-// handoff, and the exact counts are statically known.
+// handoff, and the exact counts are statically known (counted from the
+// edge table's entry, HandoffEdges::dmbs()).
 TEST(LockverTemplates, WeakeningRemovesBarriers) {
   const auto count = [](LockFamily f, Strength s) {
     return make_scenario(f, s).handoff_dmbs;
@@ -49,6 +53,62 @@ TEST(LockverTemplates, WeakeningRemovesBarriers) {
   EXPECT_EQ(count(LockFamily::kCna, Strength::kWeakened), 0u);
   EXPECT_EQ(count(LockFamily::kFfwd, Strength::kStrong), 3u);
   EXPECT_EQ(count(LockFamily::kFfwd, Strength::kWeakened), 1u);
+}
+
+// Loads, stores and barriers of one thread, in program order.
+std::string skeleton(const sim::Program& p) {
+  std::string out;
+  for (const sim::Instr& ins : p.code) {
+    if (!sim::is_load(ins.op) && !sim::is_store(ins.op) &&
+        !sim::is_barrier(ins.op))
+      continue;
+    if (!out.empty()) out += ' ';
+    out += sim::op_token(ins.op);
+  }
+  return out;
+}
+
+// The templates verify the handoffs the simulator runs. Every strong
+// acquire edge is a plain read and `dmb ishld`: the op run_ticket's spin,
+// run_cna's strong spin and the FFWD client's spin execute after the read.
+// Every strong release is `dmb ish` and a plain store, as in run_cna's
+// strong grant and run_ticket's kDmbFull unlock; FFWD's line 4 keeps
+// `dmb ish`. The weakened edges are LDAR/STLR, and FFWD's response
+// `dmb ishst`, as in CnaChoice::of(kWeakened) and fig7b's LDAR - DMB st.
+TEST(LockverTemplates, EdgesAreTheSimulatedLocksEdges) {
+  const struct {
+    const char* name;
+    std::vector<std::string> threads;
+  } kCases[] = {
+      {"ticket/strong",
+       {"str ldr dmb.ish str", "ldr dmb.ishld str dmb.ish str",
+        "ldr dmb.ishld ldr ldr"}},
+      {"ticket/weakened", {"str ldr stlr", "ldar str stlr", "ldar ldr ldr"}},
+      {"cna/strong",
+       {"str ldr str ldr ldr dmb.ish str", "ldr dmb.ishld ldr ldr str",
+        "str dmb.ishst str"}},
+      {"cna/weakened",
+       {"str ldr str ldr ldr stlr", "ldar ldr ldr str", "str dmb.ishst str"}},
+      {"ffwd/strong",
+       {"str dmb.ishst str ldr dmb.ishld ldr",
+        "ldr dmb.ish ldr str dmb.ish str"}},
+      {"ffwd/weakened",
+       {"str dmb.ishst str ldar ldr", "ldar ldr str dmb.ishst str"}},
+  };
+  for (const auto& c : kCases) {
+    LockScenario sc;
+    ASSERT_TRUE(scenario_by_name(c.name, &sc)) << c.name;
+    ASSERT_EQ(sc.prog.threads.size(), c.threads.size()) << c.name;
+    for (std::size_t t = 0; t < c.threads.size(); ++t)
+      EXPECT_EQ(skeleton(sc.prog.threads[t]), c.threads[t])
+          << c.name << " thread " << t;
+  }
+  const simprog::CnaChoice strong = simprog::CnaChoice::of(Strength::kStrong);
+  EXPECT_EQ(strong.acquire_barrier, simprog::OrderChoice::kDmbLd);
+  EXPECT_EQ(strong.release_barrier, simprog::OrderChoice::kDmbFull);
+  const simprog::CnaChoice weak = simprog::CnaChoice::of(Strength::kWeakened);
+  EXPECT_EQ(weak.acquire_barrier, simprog::OrderChoice::kLdar);
+  EXPECT_EQ(weak.release_barrier, simprog::OrderChoice::kStlr);
 }
 
 TEST(LockverTemplates, NameRoundTrip) {

@@ -138,6 +138,65 @@ TEST(Fingerprint, FaultPlanCoversEveryField) {
   EXPECT_EQ(fp_base.hex(), fp_copy.hex());
 }
 
+TEST(Fingerprint, ConcurrentProgramCoversEveryField) {
+  // A verdict over a litmus-style program (lock_verify, barrier_opt) is
+  // keyed on the whole program: editing a template must miss the cache.
+  model::ConcurrentProgram base;
+  base.name = "p";
+  {
+    sim::Asm a;
+    a.movi(sim::X1, 0x100).ldr(sim::X2, sim::X1).halt();
+    base.threads.push_back(a.take("t0"));
+  }
+  base.init = {{0x100, 0}};
+  base.observe_regs = {{0, sim::X2}};
+  base.observe_mem = {0x100};
+  Fingerprint fp_base;
+  fp_base.mix(base);
+
+  using CP = model::ConcurrentProgram;
+  const auto differs = [&](auto tweak) {
+    CP p = base;
+    tweak(&p);
+    Fingerprint fp;
+    fp.mix(p);
+    return fp.hex() != fp_base.hex();
+  };
+  EXPECT_TRUE(differs([](CP* p) { p->name = "q"; }));
+  EXPECT_TRUE(differs([](CP* p) { p->threads[0].code[1].op = sim::Op::kLdar; }));
+  EXPECT_TRUE(differs([](CP* p) { p->threads.push_back(p->threads[0]); }));
+  EXPECT_TRUE(differs([](CP* p) { p->init[0].first = 0x140; }));
+  EXPECT_TRUE(differs([](CP* p) { p->init[0].second = 1; }));
+  EXPECT_TRUE(differs([](CP* p) { p->observe_regs[0].first = 1; }));
+  EXPECT_TRUE(differs([](CP* p) { p->observe_regs[0].second = sim::X3; }));
+  EXPECT_TRUE(differs([](CP* p) { p->observe_mem[0] = 0x140; }));
+  EXPECT_TRUE(differs([](CP* p) { p->observe_mem.push_back(0x140); }));
+
+  Fingerprint fp_copy;
+  fp_copy.mix(CP(base));
+  EXPECT_EQ(fp_base.hex(), fp_copy.hex());
+}
+
+TEST(Fingerprint, ModelOptionsCoverEveryField) {
+  const model::ModelOptions base;
+  Fingerprint fp_base;
+  fp_base.mix(base);
+  using MO = model::ModelOptions;
+  const auto differs = [&](auto tweak) {
+    MO o = base;
+    tweak(&o);
+    Fingerprint fp;
+    fp.mix(o);
+    return fp.hex() != fp_base.hex();
+  };
+  EXPECT_TRUE(differs([](MO* o) { o->max_path_instructions += 1; }));
+  EXPECT_TRUE(differs([](MO* o) { o->max_execs_per_thread += 1; }));
+  EXPECT_TRUE(differs([](MO* o) { o->max_reads_per_thread += 1; }));
+  EXPECT_TRUE(differs([](MO* o) { o->max_value_domain += 1; }));
+  EXPECT_TRUE(differs([](MO* o) { o->max_candidates += 1; }));
+  EXPECT_TRUE(differs([](MO* o) { o->naive = !o->naive; }));
+}
+
 TEST(Fingerprint, ContextKeyCoversGlobalFaultPlanAndVerifyCadence) {
   // The PR 3 RunConfig additions (global chaos plan, fault_seed, global
   // verify cadence) must all land in the experiment base key.

@@ -13,6 +13,49 @@ namespace {
 const sim::PlatformSpec kServer = sim::kunpeng916();
 const sim::PlatformSpec kMobile = sim::kirin960();
 
+// ---- ordering emitters ----
+
+TEST(Emitters, LoadAndStoreOpForEveryChoice) {
+  using sim::Op;
+  const struct {
+    OrderChoice choice;
+    Op load, store;
+  } kCases[] = {
+      {OrderChoice::kNone, Op::kLdr, Op::kStr},
+      {OrderChoice::kDmbFull, Op::kLdr, Op::kStr},
+      {OrderChoice::kDmbSt, Op::kLdr, Op::kStr},
+      {OrderChoice::kDmbLd, Op::kLdr, Op::kStr},
+      {OrderChoice::kDsbFull, Op::kLdr, Op::kStr},
+      {OrderChoice::kDsbSt, Op::kLdr, Op::kStr},
+      {OrderChoice::kDsbLd, Op::kLdr, Op::kStr},
+      {OrderChoice::kIsb, Op::kLdr, Op::kStr},
+      {OrderChoice::kLdar, Op::kLdar, Op::kStr},
+      {OrderChoice::kLdapr, Op::kLdapr, Op::kStr},
+      {OrderChoice::kStlr, Op::kLdr, Op::kStlr},
+      {OrderChoice::kCtrlIsb, Op::kLdr, Op::kStr},
+      {OrderChoice::kCtrl, Op::kLdr, Op::kStr},
+      {OrderChoice::kDataDep, Op::kLdr, Op::kStr},
+      {OrderChoice::kAddrDep, Op::kLdr, Op::kStr},
+  };
+  ASSERT_EQ(std::size(kCases),
+            static_cast<std::size_t>(OrderChoice::kAddrDep) + 1);
+  for (const auto& c : kCases) {
+    sim::Asm a;
+    emit_load(a, c.choice, sim::X1, sim::X2, 8);
+    emit_store(a, c.choice, sim::X3, sim::X4, 16);
+    const Program p = a.take("edges");
+    ASSERT_EQ(p.code.size(), 2u) << to_string(c.choice);
+    EXPECT_EQ(p.code[0].op, c.load) << to_string(c.choice);
+    EXPECT_EQ(p.code[0].rd, sim::X1);
+    EXPECT_EQ(p.code[0].rn, sim::X2);
+    EXPECT_EQ(p.code[0].imm, 8);
+    EXPECT_EQ(p.code[1].op, c.store) << to_string(c.choice);
+    EXPECT_EQ(p.code[1].rd, sim::X3);
+    EXPECT_EQ(p.code[1].rn, sim::X4);
+    EXPECT_EQ(p.code[1].imm, 16);
+  }
+}
+
 // ---- abstracted models ----
 
 TEST(AbstractModel, IntrinsicRunsForAllBarriers) {
@@ -251,7 +294,7 @@ TEST(CnaSim, CorrectAtVariousThreadCounts) {
     LockWorkload w;
     w.threads = threads;
     w.iters = 40;
-    auto r = run_cna(kServer, w, CnaChoice::strong());
+    auto r = run_cna(kServer, w, CnaChoice::of(Strength::kStrong));
     EXPECT_TRUE(r.correct) << threads << " threads";
     EXPECT_GT(r.acq_per_sec, 0.0);
   }
@@ -263,11 +306,11 @@ TEST(CnaSim, CrossSocketWithSmallCapStillCorrect) {
   LockWorkload w;
   w.threads = 36;
   w.iters = 15;
-  CnaChoice c = CnaChoice::strong();
+  CnaChoice c = CnaChoice::of(Strength::kStrong);
   c.local_handoff_cap = 4;
   auto r = run_cna(kServer, w, c);
   EXPECT_TRUE(r.correct);
-  CnaChoice weak = CnaChoice::weakened();
+  CnaChoice weak = CnaChoice::of(Strength::kWeakened);
   weak.local_handoff_cap = 4;
   auto rw = run_cna(kServer, w, weak);
   EXPECT_TRUE(rw.correct);
@@ -279,8 +322,8 @@ TEST(CnaSim, WeakenedVariantUsesFewerBarriers) {
   LockWorkload w;
   w.threads = 8;
   w.iters = 40;
-  auto strong = run_cna(kServer, w, CnaChoice::strong());
-  auto weak = run_cna(kServer, w, CnaChoice::weakened());
+  auto strong = run_cna(kServer, w, CnaChoice::of(Strength::kStrong));
+  auto weak = run_cna(kServer, w, CnaChoice::of(Strength::kWeakened));
   ASSERT_TRUE(strong.correct);
   ASSERT_TRUE(weak.correct);
   EXPECT_GT(strong.barriers, weak.barriers);
@@ -294,7 +337,7 @@ TEST(CnaSim, McsBaselineCorrectAndMobileWorks) {
   LockWorkload mob;
   mob.threads = 4;
   mob.iters = 40;
-  EXPECT_TRUE(run_cna(kMobile, mob, CnaChoice::strong()).correct);
+  EXPECT_TRUE(run_cna(kMobile, mob, CnaChoice::of(Strength::kStrong)).correct);
 }
 
 TEST(LockSim, SingleThreadEdgeCases) {
@@ -302,7 +345,7 @@ TEST(LockSim, SingleThreadEdgeCases) {
   w.threads = 1;
   w.iters = 20;
   EXPECT_TRUE(run_ticket(kServer, w, OrderChoice::kDmbFull).correct);
-  EXPECT_TRUE(run_cna(kServer, w, CnaChoice::strong()).correct);
+  EXPECT_TRUE(run_cna(kServer, w, CnaChoice::of(Strength::kStrong)).correct);
   EXPECT_TRUE(run_ffwd(kServer, w, {OrderChoice::kLdar, OrderChoice::kDmbSt, false}).correct);
   EXPECT_TRUE(run_ccsynch(kServer, w, {OrderChoice::kDmbSt, false, 64}).correct);
   EXPECT_TRUE(run_ccsynch(kServer, w, {OrderChoice::kDmbSt, true, 64}).correct);
