@@ -34,6 +34,10 @@
 #   * a step gate: a profiled --no-cache fig5_load_store run must retire
 #     its instructions in under 10% as many core steps (sim.steps), which
 #     only holds while untraced NOP runs retire in one step;
+#   * a lane gate: a profiled --no-cache fig8a_queue_stack run must make
+#     fewer than 10% as many scheduler heap pushes (sim.heap_pushes) as
+#     core steps, which only holds while a core rescheduled at the next
+#     cycle goes into the next-cycle lane;
 #   * the model_perf experiment gating the POR checker >= 5x faster than
 #     the naive oracle on the co-heavy deep-MP shape (report-validated,
 #     speedup read back out of the JSON);
@@ -265,6 +269,27 @@ assert steps < 0.10 * instrs, \
     f"sim.steps {steps} is not < 10% of sim.instructions {instrs}"
 print(f"step gate OK ({steps} steps for {instrs} instructions, "
       f"{100 * steps / instrs:.1f}%)")
+EOF
+
+echo "== lane gate (fig8a reschedules its spinning cores without the heap) =="
+# Deterministic, no timing: fig8a's 24-25 live cores spin or compute one
+# instruction per cycle, so almost every step reschedules its core at the
+# next cycle, which the scheduler's next-cycle lane files without a heap
+# push. A heap-only scheduler pushes once per step, while every digest
+# would still match.
+"$BENCH" --filter fig8a_queue_stack --no-cache --profile \
+    --json="$SMOKE_DIR/fig8a-lane.report.json" > /dev/null
+python3 - "$SMOKE_DIR/fig8a-lane.report.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["host_prof"]["counters"]
+# Zero counters are left out of the report; a lane that hands over no core
+# at all is a failure too.
+steps, hits = counters["sim.steps"], counters["sim.lane_hits"]
+pushes = counters.get("sim.heap_pushes", 0)
+assert pushes < 0.10 * steps, \
+    f"sim.heap_pushes {pushes} is not < 10% of sim.steps {steps}"
+print(f"lane gate OK ({pushes} heap pushes for {steps} steps, "
+      f"{100 * pushes / steps:.1f}%; {hits} lane hits)")
 EOF
 
 echo "== model_perf gate (POR >= 5x naive on deep MP+dmb) =="

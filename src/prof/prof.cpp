@@ -26,6 +26,9 @@ const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kSimInstructions: return "sim.instructions";
     case Counter::kSimSteps: return "sim.steps";
+    case Counter::kSimHeapPushes: return "sim.heap_pushes";
+    case Counter::kSimLaneHits: return "sim.lane_hits";
+    case Counter::kSimPumps: return "sim.pumps";
     case Counter::kSimRuns: return "sim.runs";
     case Counter::kSimCycles: return "sim.cycles";
     case Counter::kModelExecutions: return "model.executions";

@@ -58,6 +58,9 @@ const char* phase_name(Phase p);
 enum class Counter : std::uint8_t {
   kSimInstructions,  ///< guest instructions retired across all runs
   kSimSteps,         ///< Core::step calls: a NOP run retires in one
+  kSimHeapPushes,    ///< AttentionQueue heap pushes (run loop + wake hook)
+  kSimLaneHits,      ///< cores handed to a sweep by the next-cycle lane
+  kSimPumps,         ///< store-buffer pumps run (the pump gate let through)
   kSimRuns,          ///< Machine::run completions
   kSimCycles,        ///< simulated cycles across all runs
   kModelExecutions,  ///< model-checker candidates examined
@@ -66,7 +69,7 @@ enum class Counter : std::uint8_t {
   kCacheStores,
   kCacheEvictions,   ///< corrupt/stale entries dropped at lookup
 };
-inline constexpr std::size_t kNumCounters = 9;
+inline constexpr std::size_t kNumCounters = 12;
 const char* counter_name(Counter c);
 
 struct PhaseStats {

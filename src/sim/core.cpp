@@ -677,7 +677,10 @@ void Core::step(Cycle now) {
   // squash does. A DMB st gate resolves in the pump that retires its last
   // watched drain. The fault engine draws only for startable entries, so
   // skipped pumps draw nothing either.
-  if (sb_dirty_ || now >= sb_horizon_) pump_store_buffer(now);
+  if (sb_dirty_ || now >= sb_horizon_) {
+    pump_store_buffer(now);
+    ++pumps_;
+  }
   if (!branches_.empty()) resolve_branches(now);
 
   auto finish = [&](Cycle candidate) {

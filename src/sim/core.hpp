@@ -305,6 +305,7 @@ class Core {
   fault::FaultEngine* fault_ = nullptr;
   CoreHistograms* hist_ = nullptr;  ///< non-null only while recording metrics
   CoreStats stats_;
+  std::uint64_t pumps_ = 0;  ///< pumps step() ran (profiler: sim.pumps)
 };
 
 }  // namespace armbar::sim

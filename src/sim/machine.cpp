@@ -180,8 +180,8 @@ RunResult Machine::run(const RunConfig& cfg) {
     // nest as children and subtract out of its self time.
     ARMBAR_PROF_SCOPE(kSimSchedule);
     while (true) {
-      // Lazy-heap min over the per-core attention slots: O(log n) amortized
-      // instead of a full scan per iteration.
+      // The lower of the next-cycle lane and the lazy heap's valid top:
+      // O(log n) amortized instead of a full scan per iteration.
       const Cycle next = sched_.min();
       if (next == kNeverCycle) {
         // idle() <=> next_attention()==kNeverCycle after a step, so an empty
@@ -260,6 +260,11 @@ RunResult Machine::run(const RunConfig& cfg) {
     for (const CoreStats& s : res.cores) instrs += s.instructions;
     ARMBAR_PROF_COUNT(kSimInstructions, instrs);
     ARMBAR_PROF_COUNT(kSimSteps, steps);
+    ARMBAR_PROF_COUNT(kSimHeapPushes, sched_.pushes());
+    ARMBAR_PROF_COUNT(kSimLaneHits, sched_.lane_hits());
+    std::uint64_t pumps = 0;
+    for (const CoreId c : live) pumps += cores_[c]->pumps_;
+    ARMBAR_PROF_COUNT(kSimPumps, pumps);
     ARMBAR_PROF_COUNT(kSimCycles, res.cycles);
     ARMBAR_PROF_COUNT(kSimRuns, 1);
   }

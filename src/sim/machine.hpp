@@ -118,6 +118,12 @@ class Machine {
   /// A machine runs once; construct a fresh one per experiment point.
   RunResult run(const RunConfig& cfg);
 
+  /// Test seam for the invariant checker: point core `c`'s scheduler slot at
+  /// `at` without touching the core, as a wake the invalidate hook failed
+  /// to mirror would leave it, so tests can prove the MachineVerifier
+  /// catches it. Never called by the simulator.
+  void debug_set_attention(CoreId c, Cycle at) { sched_.set(c, at); }
+
   /// Final-state extraction (differential fuzzing, ISSUE 4): read the listed
   /// (core, register) slots followed by the 8-byte words at the listed
   /// addresses, in order, after a run. Memory words go through peek(), so
@@ -133,7 +139,7 @@ class Machine {
   std::unique_ptr<MemorySystem> mem_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<bool> active_;
-  AttentionQueue sched_;  ///< per-core next-attention slots + lazy min-heap
+  AttentionQueue sched_;  ///< next-attention slots, lane + lazy min-heap
   /// The cycle run() is sweeping, and the cores the invalidate hook pulled
   /// to it during the current step (bit c = core c).
   Cycle sweep_at_ = 0;

@@ -15,6 +15,10 @@ std::string hex(std::uint64_t v) {
   return os.str();
 }
 
+std::string cycle_str(Cycle c) {
+  return c == kNeverCycle ? std::string("never") : std::to_string(c);
+}
+
 /// One line's coherence invariants; "" when they hold.
 std::string check_line(const LineState& ls, Addr line, std::uint32_t total) {
   // Most lines, even on a resident page, are idle; skip them fast.
@@ -136,8 +140,7 @@ std::string MachineVerifier::check_core(const Core& core, Cycle now) const {
         actual != core.sb_horizon_)
       return where + "cached store-buffer horizon " +
              std::to_string(core.sb_horizon_) + " but the next event is at " +
-             (actual == kNeverCycle ? std::string("never")
-                                    : std::to_string(actual));
+             cycle_str(actual);
   }
 
   // Store-buffer order: seqs strictly increase in buffer order, and a drain
@@ -187,11 +190,30 @@ std::string MachineVerifier::check_core(const Core& core, Cycle now) const {
   return {};
 }
 
+std::string MachineVerifier::check_sched() const {
+  const AttentionQueue& q = m_.sched_;
+  for (CoreId c = 0; c < m_.num_cores(); ++c) {
+    const Cycle slot = q.at(c);
+    const auto where = [&] { return "core " + std::to_string(c) + ": "; };
+    // A core without a program keeps next_attention() 0 and is never set.
+    if (const Cycle na = m_.cores_[c]->next_attention();
+        m_.active_[c] && slot != na)
+      return where() + "scheduler slot " + cycle_str(slot) +
+             " but next attention " + cycle_str(na);
+    const bool in_lane = ((q.lane() >> c) & 1) != 0;
+    if (in_lane != (slot == q.lane_at()))
+      return where() + (in_lane ? "in" : "missing from") +
+             " the next-cycle lane at " + cycle_str(q.lane_at()) +
+             " with scheduler slot " + cycle_str(slot);
+  }
+  return {};
+}
+
 std::string MachineVerifier::check(Cycle now) const {
   if (std::string v = check_lines(); !v.empty()) return v;
   for (const auto& core : m_.cores_)
     if (std::string v = check_core(*core, now); !v.empty()) return v;
-  return {};
+  return check_sched();
 }
 
 SimDiagnostic MachineVerifier::diagnose(std::string kind, std::string summary,

@@ -27,6 +27,10 @@
 //   5. Pump gate: a core whose store buffer is clean (unchanged since its
 //      last pump) and whose cached event horizon lies ahead of the sweep
 //      cycle caches exactly the horizon a rescan of the buffer reports.
+//   6. Scheduler: every program-bearing core's attention slot is its
+//      next_attention(), and the next-cycle lane holds exactly the cores
+//      whose slot is the lane cycle (a stale bit would step a core at a
+//      cycle its slot no longer names).
 //
 // The watchdog is separate from the verifier: it converts "no core retired
 // an instruction, drained a store or squashed for N cycles" into a typed
@@ -104,6 +108,7 @@ class MachineVerifier {
  private:
   std::string check_lines() const;
   std::string check_core(const Core& core, Cycle now) const;
+  std::string check_sched() const;
 
   const Machine& m_;
 };

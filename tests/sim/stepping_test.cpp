@@ -8,6 +8,9 @@
 //     and a store's invalidation that wakes WFE-parked cores on both sides
 //     of the storer keeps the cycle counts the full walk over every live
 //     core produced.
+//   * Next-cycle lane: a wake the invalidate hook lands on the cycle after
+//     the sweep goes into the scheduler's lane, and a later, earlier wake
+//     takes the core back out; both keep the heap-only scheduler's values.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -171,6 +174,32 @@ TEST(NopRun, CasesReachTheStatesTheyAreNamedFor) {
   EXPECT_LT(cap.cores[0].instructions, 1000u);
 }
 
+/// Loads each line, then parks in WFE until the first line reads non-zero.
+Program waiter_on(const std::vector<Addr>& lines) {
+  Asm w;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    w.movi(static_cast<Reg>(X0 + i), static_cast<std::int64_t>(lines[i]));
+    w.ldr(X4, static_cast<Reg>(X0 + i), 0);
+  }
+  w.label("wait");
+  w.wfe();
+  w.ldr(X4, X0, 0);
+  w.cbz(X4, "wait");
+  w.halt();
+  return w.take("waiter");
+}
+
+/// Stores 1 to `line` once, after NOPs that time its drain to start just
+/// after the waiters re-park.
+Program store_once(Addr line) {
+  Asm s;
+  s.movi(X0, static_cast<std::int64_t>(line)).movi(X1, 1);
+  s.nops(2700);
+  s.str(X1, X0, 0);
+  s.halt();
+  return s.take("storer");
+}
+
 /// Each node of a 64-core machine has one storer (cores 16 and 48) and 31
 /// waiters parked in WFE on the storer's line; each storer stores once.
 /// Its NOPs time the drain to start just after the waiters re-park, and its
@@ -179,28 +208,9 @@ TEST(NopRun, CasesReachTheStatesTheyAreNamedFor) {
 /// cycle.
 RunResult wake_both_sides(const PlatformSpec& spec) {
   Machine m(spec, 1u << 20);
-  const auto waiter = [](Addr line) {
-    Asm w;
-    w.movi(X0, static_cast<std::int64_t>(line));
-    w.ldr(X1, X0, 0);
-    w.label("wait");
-    w.wfe();
-    w.ldr(X1, X0, 0);
-    w.cbz(X1, "wait");
-    w.halt();
-    return decode_program(w.take("waiter"));
-  };
-  const auto storer = [](Addr line) {
-    Asm s;
-    s.movi(X0, static_cast<std::int64_t>(line)).movi(X1, 1);
-    s.nops(2700);
-    s.str(X1, X0, 0);
-    s.halt();
-    return decode_program(s.take("storer"));
-  };
   for (CoreId c = 0; c < 64; ++c) {
     const Addr line = c < 32 ? kData : kData + 0x1000;
-    m.load_program(c, c % 32 == 16 ? storer(line) : waiter(line));
+    m.load_program(c, c % 32 == 16 ? store_once(line) : waiter_on({line}));
   }
   return m.run({});
 }
@@ -251,6 +261,91 @@ TEST(DueSweep, SameCycleWakeJoinsTheSweep) {
   std::vector<Cycle> expect = node;
   expect.insert(expect.end(), node.begin(), node.end());
   EXPECT_EQ(halted_at(r), expect);
+}
+
+/// Every RunResult field: completion and cycles, then every CoreStats field
+/// of each program-bearing core in id order (instructions, loads, stores,
+/// load_misses, barriers, squashes, wfe_parks, stxr_failures, sb_retired,
+/// halted_at, the stall cycles by cause), then MemStats. Rendered as text so
+/// a mismatch reads as a diff.
+std::string describe(const RunResult& r) {
+  std::ostringstream os;
+  os << "completed=" << r.completed << " cycles=" << r.cycles << "\n";
+  for (std::size_t i = 0; i < r.cores.size(); ++i) {
+    const CoreStats& s = r.cores[i];
+    os << i << ": " << s.instructions << " " << s.loads << " " << s.stores
+       << " " << s.load_misses << " " << s.barriers << " " << s.squashes
+       << " " << s.wfe_parks << " " << s.stxr_failures << " "
+       << s.sb_retired << " halted_at=" << s.halted_at << " stalls";
+    for (std::uint64_t v : s.stall_cycles) os << " " << v;
+    os << "\n";
+  }
+  const MemStats& m = r.mem;
+  os << "mem: " << m.gets_local << " " << m.gets_remote << " " << m.getm_local
+     << " " << m.getm_remote << " " << m.mem_fills << " " << m.upgrades << " "
+     << m.hits << "\n";
+  return os.str();
+}
+
+TEST(DueSweep, NextCycleWakeEntersTheLane) {
+  // With one-cycle invalidations the storer's drain, started while it is
+  // swept at cycle T, wakes the parked waiters at exactly T + 1: the
+  // invalidate hook writes each of them into the next-cycle lane, below
+  // and above the storer's id.
+  PlatformSpec spec = kunpeng916();
+  spec.lat.inv_local = 1;
+  spec.lat.inv_remote = 1;
+  Machine m(spec, 1u << 20);
+  for (const CoreId c : {1u, 2u, 5u, 7u}) m.load_program(c, waiter_on({kData}));
+  m.load_program(4, store_once(kData));
+  RunConfig cfg;
+  cfg.verify_every = 1;
+  // Pinned: the values the heap-only scheduler produced.
+  EXPECT_EQ(describe(m.run(cfg)), R"(completed=1 cycles=2859
+0: 21 7 0 2 0 1 6 0 0 halted_at=2823 stalls 0 0 0 0 0 0 0 98 12 0
+1: 21 7 0 2 0 1 6 0 0 halted_at=2835 stalls 0 0 0 0 0 0 0 110 12 0
+2: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+3: 21 7 0 2 0 1 6 0 0 halted_at=2847 stalls 0 0 0 0 0 0 0 122 12 0
+4: 21 7 0 2 0 1 6 0 0 halted_at=2859 stalls 0 0 0 0 0 0 0 134 12 0
+mem: 7 0 1 0 1 0 20
+)");
+}
+
+TEST(DueSweep, EarlierWakePullsACoreOutOfTheLane) {
+  // Core 5 parks holding line A, shared on node 0 only, and line B. In one
+  // sweep core 2 (node 0) takes A, whose one-cycle invalidation puts core 5
+  // into the next-cycle lane, then core 40 (node 1) takes B across nodes,
+  // whose free invalidation pulls core 5 back to the cycle being swept: it
+  // leaves the lane and, as an id below the storer's, is stepped by the
+  // next pass at the same cycle. Core 9 counts in registers all along, so
+  // that second pass finds it in the lane for the next cycle and must
+  // leave it there.
+  PlatformSpec spec = kunpeng916();
+  spec.lat.inv_local = 1;
+  spec.lat.inv_remote = 0;
+  constexpr Addr kLineB = kData + 0x1000;
+  Machine m(spec, 1u << 20);
+  m.load_program(5, waiter_on({kData, kLineB}));
+  m.load_program(2, store_once(kData));
+  m.load_program(40, store_once(kLineB));
+  Asm counter;
+  counter.movi(X2, 0);
+  counter.label("loop");
+  counter.addi(X2, X2, 1);
+  counter.cmpi(X2, 2000);
+  counter.blt("loop");
+  counter.halt();
+  m.load_program(9, counter.take("counter"));
+  RunConfig cfg;
+  cfg.verify_every = 1;
+  // Pinned: the values the heap-only scheduler produced.
+  EXPECT_EQ(describe(m.run(cfg)), R"(completed=1 cycles=6001
+0: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+1: 26 9 0 3 0 1 6 0 0 halted_at=2825 stalls 0 0 0 0 0 0 0 98 12 0
+2: 6002 0 0 0 0 0 0 0 0 halted_at=6001 stalls 0 0 0 0 0 0 0 0 0 0
+3: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+mem: 1 0 1 1 2 0 6
+)");
 }
 
 }  // namespace

@@ -167,6 +167,26 @@ TEST(Verifier, StaleStoreBufferHorizonThrowsInvariantViolation) {
   }
 }
 
+TEST(Verifier, StaleSchedulerSlotThrowsInvariantViolation) {
+  // A scheduler slot that no longer names the core's next attention is what
+  // a wake the invalidate hook failed to mirror leaves behind: the run loop
+  // would step core 1 at a cycle the core never asked for.
+  Machine m(rpi4(), 1u << 20);
+  m.load_program(0, counting_loop(100));
+  m.load_program(1, counting_loop(100));
+  m.debug_set_attention(1, 1'000'000);
+  RunConfig cfg;
+  cfg.verify_every = 16;
+  try {
+    (void)m.run(cfg);
+    FAIL() << "stale scheduler slot ran to completion";
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.diagnostic().summary,
+              "core 1: scheduler slot 1000000 but next attention 0");
+    EXPECT_EQ(e.diagnostic().cycle, 16u);
+  }
+}
+
 TEST(Watchdog, LivelockedRunThrowsSimHangBeforeMaxCycles) {
   // A drain that is re-postponed with probability 1 never starts, so the
   // DSB below waits forever: live (schedulable) but not progressing.
