@@ -189,8 +189,6 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
   constexpr std::uint32_t kFreshRounds = 100;
   ctx.param("mp_rounds", std::to_string(kMpRounds));
   ctx.param("fresh_rounds", std::to_string(kFreshRounds));
-  ctx.param("profiling",
-            prof::compiled_in() ? "enabled" : "compiled out (ARMBAR_PROF_DISABLED)");
 
   // ---- null-interpreter baseline (best of 5 passes) ----
   // Best-of, not mean: on a contended CI host the minimum is the real

@@ -2,10 +2,10 @@
 // same Executor interface under a ticket lock, a CC-Synch combining lock,
 // and the Pilot-optimized combining lock (paper §5).
 //
-//   $ ./delegation_locks [threads] [rounds]
+//   $ ./delegation_locks [threads] [rounds]    # 1..256 threads, default 4
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "locks/ccsynch.hpp"
 #include "locks/ffwd.hpp"
 #include "locks/ticket_lock.hpp"
+#include "runner/arg_parser.hpp"
 
 using namespace armbar;
 
@@ -49,8 +50,17 @@ double exercise(locks::Executor& lock, const char* label, unsigned threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 2000;
+  std::int64_t n_threads = 4, n_rounds = 2000;
+  std::string err;
+  if ((argc > 1 && !runner::parse_int_option("threads", argv[1], 1, 256,
+                                             &n_threads, &err)) ||
+      (argc > 2 && !runner::parse_int_option("rounds", argv[2], 0, INT32_MAX,
+                                             &n_rounds, &err))) {
+    std::fprintf(stderr, "delegation_locks: %s\n", err.c_str());
+    return 2;
+  }
+  const auto threads = static_cast<unsigned>(n_threads);
+  const auto rounds = static_cast<int>(n_rounds);
 
   std::printf("Delegation lock demo — sorted list, %u threads x %d rounds\n",
               threads, rounds);

@@ -5,9 +5,10 @@
 //   $ ./pilot_channel [messages]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <thread>
 
+#include "runner/arg_parser.hpp"
 #include "spsc/ring.hpp"
 
 using namespace armbar;
@@ -31,8 +32,14 @@ double run(Ring& ring, std::uint64_t messages, std::uint64_t& checksum_out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t messages = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                          : 200000;
+  std::int64_t n_messages = 200000;
+  std::string err;
+  if (argc > 1 && !runner::parse_int_option("messages", argv[1], 0, INT64_MAX,
+                                            &n_messages, &err)) {
+    std::fprintf(stderr, "pilot_channel: %s\n", err.c_str());
+    return 2;
+  }
+  const auto messages = static_cast<std::uint64_t>(n_messages);
   const std::uint64_t expect = (messages - 1) * messages / 2 * 7;
 
   std::printf("Pilot channel demo — %llu messages (host threads, %s)\n\n",

@@ -12,10 +12,10 @@
 //   $ ./trace_explorer --trace=mp.trace.json   # also write a Chrome trace
 //                                              # (open in https://ui.perfetto.dev)
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "runner/arg_parser.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 #include "trace/chrome_trace.hpp"
@@ -70,17 +70,30 @@ std::string op_name(std::uint8_t op) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "trace_explorer.trace.json";
-    } else {
-      std::fprintf(stderr, "usage: %s [--trace[=path]]\n", argv[0]);
-      return 2;
-    }
+  runner::ArgParser args(
+      "trace_explorer",
+      "Print the MP producer's barrier lifecycle on kunpeng916 and check the "
+      "trace's barrier stall spans against CoreStats.");
+  args.add_optional_value("trace", "PATH",
+                          "also write a Chrome trace_event JSON (default "
+                          "path: trace_explorer.trace.json)");
+  std::string err;
+  if (!args.parse(argc, argv, &err)) {
+    std::fprintf(stderr, "trace_explorer: %s\n", err.c_str());
+    return 2;
   }
+  if (args.help_requested()) {
+    std::fputs(args.help().c_str(), stdout);
+    return 0;
+  }
+  if (!args.positionals().empty()) {
+    std::fprintf(stderr, "trace_explorer: unexpected argument '%s'\n",
+                 args.positionals().front().c_str());
+    return 2;
+  }
+  std::string trace_path = args.str("trace");
+  if (args.given("trace") && trace_path.empty())
+    trace_path = "trace_explorer.trace.json";
 
   const sim::PlatformSpec spec = sim::kunpeng916();
   const CoreId producer = 0, consumer = 32;  // cross-node on kunpeng916

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: configure with warnings-as-errors on the trace target, build
-# everything, run the tiered test suite, then exercise the experiment
+# Tier-1 CI: configure with warnings-as-errors on every first-party target,
+# build everything, run the tiered test suite, then exercise the experiment
 # runner end to end:
 #   * the tier1 ctest label (fast tests, every suite) right after the
 #     build, failing if any test reports a skip, then one dedicated
@@ -46,6 +46,8 @@
 #     experiment and carries >= 3 latency histograms, and the Chrome
 #     trace parses with a non-empty traceEvents array;
 #   * trace_explorer's span-accounting self-check;
+#   * a malformed-argument smoke: one bad value for each binary that takes
+#     options or counts must exit 2 with a message naming the option;
 #   * a fault-injected consolidated run (--fault-seed) whose report must
 #     still validate, carry per-experiment status params and an (empty)
 #     quarantine array;
@@ -70,9 +72,6 @@
 #     report must validate; and a planted-unsoundness stage where an
 #     illegal rewrite injected *bypassing* the oracle must be caught by
 #     the final verification (exit 1 = caught is the only pass);
-#   * an ARMBAR_PROF_DISABLED build proving the profiler compiles out to
-#     zero cost: tier1 must pass and sim_perf must still clear its gate
-#     with no host_prof section;
 #   * an ASan+UBSan build running the full test suite — including the
 #     slow tier, so the equivalence sweep runs sanitized — plus a faulted
 #     armbar-bench smoke.
@@ -330,6 +329,35 @@ EOF
 echo "== trace_explorer self-check =="
 "$BUILD/examples/trace_explorer" > /dev/null
 
+echo "== malformed-argument smoke (exit 2, message names the option) =="
+# Each binary gets one bad value and must reject it before doing any work:
+# exit 2 and a message naming the option, never an abort or a run with a
+# garbage value. Never give delegation_locks or pilot_channel a negative
+# count here: if their check broke, the run would start billions of
+# threads or send 2^64 messages.
+bad_arg() {
+  local want=$1
+  shift
+  set +e
+  "$@" > /dev/null 2> "$SMOKE_DIR/bad-arg.err"
+  local rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || ! grep -q -- "$want" "$SMOKE_DIR/bad-arg.err"; then
+    echo "FAIL: '$*' exited $rc (want 2 and a message naming $want):" >&2
+    cat "$SMOKE_DIR/bad-arg.err" >&2
+    exit 1
+  fi
+}
+bad_arg --chaos-seeds "$BUILD/tools/armbar-lockver" --chaos-seeds abc
+bad_arg --platform "$BUILD/tools/armbar-lockver" --platform nosuch
+bad_arg --seed "$BUILD/tools/armbar-opt" --seed -1
+bad_arg --skews "$BUILD/tools/armbar-fuzz" --skews abc
+bad_arg BUNDLE "$BUILD/tools/armbar-repro"
+bad_arg --iters "$BUILD/examples/model_explorer" --iters abc
+bad_arg threads "$BUILD/examples/delegation_locks" abc
+bad_arg messages "$BUILD/examples/pilot_channel" abc
+echo "malformed-argument smoke OK (8 bad command lines, each exit 2)"
+
 echo "== fault-injected run (--fault-seed 7, schema gate) =="
 # Fault plans perturb timing inside the architectural envelope, so every
 # check still passes; the report must validate under the v1 schema with the
@@ -526,27 +554,6 @@ echo "== chaos soak (seeded SIGKILL/restart cycles, exact accounting) =="
     --json "$SHM_DIR/armbar-chaos.report.json"
 "$BUILD/tools/report_check" "$SHM_DIR/armbar-chaos.report.json"
 "$BUILD/tools/armbar-shm-gc" --quiet
-
-echo "== ARMBAR_PROF_DISABLED build (${BUILD}-profdis) =="
-# The zero-cost claim: with the profiler compiled out the whole suite must
-# still build and pass tier1, and sim_perf must still clear its own gate
-# (it just reports without the per-phase breakdown).
-PROFDIS_BUILD="${BUILD}-profdis"
-cmake -B "$PROFDIS_BUILD" -S . -DARMBAR_PROF_DISABLED=ON > /dev/null
-cmake --build "$PROFDIS_BUILD" -j"$(nproc)"
-
-echo "== ARMBAR_PROF_DISABLED tests (tier1) + sim_perf smoke =="
-ctest --test-dir "$PROFDIS_BUILD" -L tier1 --output-on-failure -j"$(nproc)"
-"$PROFDIS_BUILD/bench/armbar-bench" --filter 'sim_perf*' --no-cache \
-    --json="$SMOKE_DIR/BENCH_sim_perf.profdis.json" > /dev/null
-"$PROFDIS_BUILD/tools/report_check" "$SMOKE_DIR/BENCH_sim_perf.profdis.json"
-python3 - "$SMOKE_DIR/BENCH_sim_perf.profdis.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["ok"], "sim_perf failed under ARMBAR_PROF_DISABLED"
-assert "host_prof" not in doc, "compiled-out build still emitted host_prof"
-print("compiled-out sim_perf OK (no host_prof, gate still passes)")
-EOF
 
 echo "== ASan+UBSan build (${BUILD}-asan) =="
 ASAN_BUILD="${BUILD}-asan"

@@ -18,6 +18,7 @@ using sim::Op;
 using sim::Reg;
 
 constexpr Addr kAddrStride = 0x1000;  // one cache line + padding per address
+constexpr std::uint32_t kNumAddrs = 4;  // shared locations per program
 Addr addr_of(std::uint32_t idx) { return kAddrStride * (idx + 1); }
 
 /// Abstract op, mutated freely before rendering to real instructions.
@@ -47,15 +48,13 @@ const Op kBarrierMenu[] = {
 class CaseBuilder {
  public:
   CaseBuilder(std::uint64_t seed, const GenOptions& opts)
-      : seed_(seed), rng_(seed ^ 0xa5a5f00dcafe1234ULL), opts_(opts) {
-    naddrs_ = std::max<std::uint32_t>(1, std::min<std::uint32_t>(opts.num_addrs, 4));
-  }
+      : seed_(seed), rng_(seed ^ 0xa5a5f00dcafe1234ULL), opts_(opts) {}
 
   model::ConcurrentProgram build() {
     // Lock shapes are opt-in and pre-rolled: with the knob at 0 no random
     // draw happens here, so default-option seeds stay bit-identical.
     if (opts_.lock_shape_pct > 0 &&
-        rng_.below(100) < opts_.lock_shape_pct && naddrs_ >= 2) {
+        rng_.below(100) < opts_.lock_shape_pct) {
       lock_skeleton();
       mutate();
       return render();
@@ -63,11 +62,11 @@ class CaseBuilder {
     // Shape bias: MP 35%, SB 20%, IRIW 15% (when 4 threads fit), the rest
     // fully random.
     const std::uint64_t roll = rng_.below(100);
-    if (roll < 35 && naddrs_ >= 2) {
+    if (roll < 35) {
       mp_skeleton();
-    } else if (roll < 55 && naddrs_ >= 2) {
+    } else if (roll < 55) {
       sb_skeleton();
-    } else if (roll < 70 && naddrs_ >= 2 && opts_.max_threads >= 4) {
+    } else if (roll < 70 && opts_.max_threads >= 4) {
       iriw_skeleton();
     } else {
       random_skeleton();
@@ -78,7 +77,7 @@ class CaseBuilder {
 
  private:
   std::uint32_t rand_addr() {
-    return static_cast<std::uint32_t>(rng_.below(naddrs_));
+    return static_cast<std::uint32_t>(rng_.below(kNumAddrs));
   }
 
   AOp rand_barrier() {
@@ -108,7 +107,7 @@ class CaseBuilder {
   std::pair<std::uint32_t, std::uint32_t> two_addrs() {
     const std::uint32_t a = rand_addr();
     std::uint32_t b = rand_addr();
-    if (b == a) b = (a + 1) % naddrs_;
+    if (b == a) b = (a + 1) % kNumAddrs;
     return {a, b};
   }
 
@@ -164,7 +163,7 @@ class CaseBuilder {
   void lock_skeleton() {
     const auto [grant, data] = two_addrs();
     std::uint32_t probe = data;
-    for (std::uint32_t i = 0; i < naddrs_; ++i)
+    for (std::uint32_t i = 0; i < kNumAddrs; ++i)
       if (i != grant && i != data) {
         probe = i;
         break;
@@ -236,7 +235,7 @@ class CaseBuilder {
     std::set<std::uint32_t> used_addrs;
     for (std::uint32_t t = 0; t < threads_.size(); ++t) {
       Asm a;
-      for (std::uint32_t i = 0; i < naddrs_; ++i)
+      for (std::uint32_t i = 0; i < kNumAddrs; ++i)
         a.movi(static_cast<Reg>(i), static_cast<std::int64_t>(addr_of(i)));
       std::uint32_t next_reg = 8;
       int label_n = 0;
@@ -319,7 +318,6 @@ class CaseBuilder {
   const std::uint64_t seed_;
   Rng rng_;
   const GenOptions& opts_;
-  std::uint32_t naddrs_;
   std::vector<std::vector<AOp>> threads_;
 };
 

@@ -34,7 +34,6 @@ struct GenOptions {
   // ci.sh or a repro bundle depends on when touching these.
   std::uint32_t max_threads = 5;         ///< >= 2; 4+ enables IRIW shapes
   std::uint32_t max_ops_per_thread = 8;  ///< memory/barrier ops in the body
-  std::uint32_t num_addrs = 4;           ///< 1..4 shared locations
   /// Percent of cases drawn as lock-handoff skeletons (ISSUE 9): a holder
   /// whose critical section stores data and loads a probe word, a release
   /// edge drawn from the strong/weakened/insufficient menu (dmb ish, STLR,

@@ -48,8 +48,6 @@ bool Snapshot::has_data() const {
   return false;
 }
 
-#if !defined(ARMBAR_PROF_DISABLED)
-
 namespace detail {
 std::atomic<bool> g_enabled{false};
 }
@@ -334,7 +332,5 @@ Snapshot snapshot() {
   }
   return s;
 }
-
-#endif  // !ARMBAR_PROF_DISABLED
 
 }  // namespace armbar::prof

@@ -5,8 +5,6 @@
 // Design constraints, in order:
 //   1. Negligible overhead when off. Every hook first reads one relaxed
 //      atomic; a disabled ScopedTimer is a branch and two dead stores.
-//      Under ARMBAR_PROF_DISABLED the hooks compile out entirely, with the
-//      arguments still type-checked so the no-prof build cannot rot.
 //   2. No synchronization on the hot path. Each thread accumulates into a
 //      thread-local calltree (intrusive first-child/next-sibling nodes
 //      keyed by a fixed Phase enum); the only locks are at thread
@@ -106,34 +104,6 @@ struct Snapshot {
   bool has_data() const;
 };
 
-#if defined(ARMBAR_PROF_DISABLED)
-
-inline constexpr bool kCompiledIn = false;
-inline bool compiled_in() { return false; }
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void reset() {}
-inline void count(Counter, std::uint64_t = 1) {}
-inline Snapshot snapshot() { return {}; }
-
-class ScopedTimer {
- public:
-  explicit constexpr ScopedTimer(Phase) noexcept {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-class Session {
- public:
-  Session() = default;
-  bool owned() const { return false; }
-};
-
-#else  // !ARMBAR_PROF_DISABLED
-
-inline constexpr bool kCompiledIn = true;
-inline bool compiled_in() { return true; }
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 /// Push a Phase node on this thread's tree; returns the node index and
@@ -204,13 +174,10 @@ class Session {
   bool owned_ = false;
 };
 
-#endif  // ARMBAR_PROF_DISABLED
-
 }  // namespace armbar::prof
 
-// Hot-path hook macros. Both compile their arguments in every build; under
-// ARMBAR_PROF_DISABLED the ScopedTimer is an empty constexpr object and
-// count() an empty inline, so the optimizer strips the sites entirely.
+// Hot-path hook macros: a scoped timer named after its line, and a counter
+// bump.
 #define ARMBAR_PROF_CONCAT_IMPL(a, b) a##b
 #define ARMBAR_PROF_CONCAT(a, b) ARMBAR_PROF_CONCAT_IMPL(a, b)
 #define ARMBAR_PROF_SCOPE(phase)                               \

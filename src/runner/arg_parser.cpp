@@ -33,33 +33,33 @@ bool parse_int_option(const std::string& name, const std::string& text,
 ArgParser::ArgParser(std::string prog, std::string description)
     : prog_(std::move(prog)), description_(std::move(description)) {}
 
+void ArgParser::add(Opt o) {
+  ARMBAR_CHECK_MSG(find(o.name) == nullptr, "duplicate option");
+  opts_.push_back(std::move(o));
+}
+
 void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  ARMBAR_CHECK_MSG(find(name) == nullptr, "duplicate option");
-  opts_.push_back({name, "", help, "", Kind::kFlag, false, ""});
+  add({name, "", help, "", Kind::kFlag});
 }
 
 void ArgParser::add_value(const std::string& name, const std::string& value_name,
                           const std::string& help, const std::string& def) {
-  ARMBAR_CHECK_MSG(find(name) == nullptr, "duplicate option");
-  opts_.push_back({name, value_name, help, def, Kind::kValue, false, def});
+  add({name, value_name, help, def, Kind::kValue, def});
 }
 
 void ArgParser::add_optional_value(const std::string& name,
                                    const std::string& value_name,
                                    const std::string& help,
                                    const std::string& def) {
-  ARMBAR_CHECK_MSG(find(name) == nullptr, "duplicate option");
-  opts_.push_back({name, value_name, help, def, Kind::kOptionalValue, false, def});
+  add({name, value_name, help, def, Kind::kOptionalValue, def});
 }
 
 void ArgParser::add_int(const std::string& name, const std::string& value_name,
                         const std::string& help, std::int64_t def,
                         std::int64_t min, std::int64_t max) {
-  ARMBAR_CHECK_MSG(find(name) == nullptr, "duplicate option");
   ARMBAR_CHECK_MSG(min <= def && def <= max, "default outside [min, max]");
-  Opt o{name, value_name, help, std::to_string(def), Kind::kInt, false, "",
-        def, min, max};
-  opts_.push_back(std::move(o));
+  add({name, value_name, help, std::to_string(def), Kind::kInt, "", def, min,
+       max});
 }
 
 ArgParser::Opt* ArgParser::find(const std::string& name) {
@@ -95,29 +95,24 @@ bool ArgParser::parse(int argc, char** argv, std::string* err) {
       return false;
     }
     o->given = true;
-    if (eq != std::string::npos) {
-      if (o->kind == Kind::kFlag) {
+    if (o->kind == Kind::kFlag) {
+      if (eq != std::string::npos) {
         if (err) *err = "option '--" + name + "' does not take a value";
         return false;
       }
-      o->value = arg.substr(eq + 1);
       continue;
     }
-    switch (o->kind) {
-      case Kind::kFlag:
-        break;
-      case Kind::kOptionalValue:
-        o->value = "";  // present without a value
-        break;
-      case Kind::kValue:
-      case Kind::kInt:
-        if (i + 1 >= argc) {
-          if (err) *err = "option '--" + name + "' requires a value";
-          return false;
-        }
-        o->value = argv[++i];
-        break;
+    if (eq != std::string::npos) {
+      o->value = arg.substr(eq + 1);
+    } else if (o->kind == Kind::kOptionalValue) {
+      o->value = "";  // present without a value
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      o->value = argv[++i];  // never an option: `--out --quiet` is an error
+    } else {
+      if (err) *err = "option '--" + name + "' requires a value";
+      return false;
     }
+    o->values.push_back(o->value);
   }
   // Validate every integer option up front so `--jobs=abc` or an overflow
   // is a clean parse error, not an abort (or garbage) at first access.
@@ -140,16 +135,17 @@ const std::string& ArgParser::str(const std::string& name) const {
   return o->value;
 }
 
-std::int64_t ArgParser::integer(const std::string& name, std::int64_t def) const {
+const std::vector<std::string>& ArgParser::values(const std::string& name) const {
   const Opt* o = find(name);
   ARMBAR_CHECK_MSG(o != nullptr, "querying unregistered option");
-  if (o->kind == Kind::kInt) return o->ival;  // validated by parse()
-  if (!o->given || o->value.empty()) return def;
-  char* end = nullptr;
-  const long long v = std::strtoll(o->value.c_str(), &end, 10);
-  ARMBAR_CHECK_MSG(end != nullptr && *end == '\0',
-                   "malformed integer option value");
-  return static_cast<std::int64_t>(v);
+  return o->values;
+}
+
+std::int64_t ArgParser::integer(const std::string& name) const {
+  const Opt* o = find(name);
+  ARMBAR_CHECK_MSG(o != nullptr && o->kind == Kind::kInt,
+                   "querying an option not registered with add_int");
+  return o->ival;  // validated by parse()
 }
 
 std::string ArgParser::help() const {

@@ -1,13 +1,12 @@
-// Small shared command-line parser for every armbar binary.
+// Small shared command-line parser for every armbar binary with options.
 //
-// Replaces the hand-rolled strcmp loops that used to live in each bench's
-// main(). Three option shapes cover the whole CLI surface:
+// Four option shapes cover the whole CLI surface:
 //   * flag          --list                 (boolean, no value)
-//   * value         --jobs 8 / --jobs=8    (value required)
+//   * value         --out D / --out=D      (value required; may repeat)
 //   * optional      --json / --json=path   (value optional)
-// Typed accessors convert on read and report malformed numbers as parse
-// errors up front, and help() autogenerates the usage text so a binary's
-// --help can never drift from what it actually accepts.
+//   * integer       --jobs 8 / --jobs=8    (validated at parse time)
+// Malformed numbers are parse errors up front, and help() autogenerates the
+// usage text so a binary's --help can never drift from what it accepts.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +15,11 @@
 
 namespace armbar::runner {
 
-/// The check every add_int option gets at parse() time, for binaries that
-/// walk argv by hand: parse `text` as a base-10 integer in [min, max] into
-/// *out. Malformed text ("abc", "1x", ""), a value that overflows 64 bits
-/// and a value outside the range return false and fill *err with a message
-/// naming `--name`.
+/// The check every add_int option gets at parse() time, for integers that
+/// arrive some other way (a list element, a repeated option, a positional):
+/// parse `text` as a base-10 integer in [min, max] into *out. Malformed text
+/// ("abc", "1x", ""), a value that overflows 64 bits and a value outside the
+/// range return false and fill *err with a message naming `--name`.
 bool parse_int_option(const std::string& name, const std::string& text,
                       std::int64_t min, std::int64_t max, std::int64_t* out,
                       std::string* err);
@@ -31,7 +30,8 @@ class ArgParser {
 
   /// Boolean switch: present or absent, never takes a value.
   void add_flag(const std::string& name, const std::string& help);
-  /// Option with a required value (`--name V` or `--name=V`).
+  /// Option with a required value (`--name V` or `--name=V`). It may repeat:
+  /// str() reads the last occurrence, values() every one.
   void add_value(const std::string& name, const std::string& value_name,
                  const std::string& help, const std::string& def = "");
   /// Option whose value is optional (`--name` or `--name=V`; never `--name V`,
@@ -58,11 +58,12 @@ class ArgParser {
   /// String value (the default when not given; empty for a valueless
   /// appearance of an optional-value option).
   const std::string& str(const std::string& name) const;
-  /// Integer value. For add_int options the value was validated by parse()
-  /// and the registered default applies when absent (`def` is ignored).
-  /// For legacy string options, falls back to `def` when not given and
-  /// aborts on a non-numeric value — prefer add_int.
-  std::int64_t integer(const std::string& name, std::int64_t def = 0) const;
+  /// Every occurrence's value, in command-line order (empty when not
+  /// given).
+  const std::vector<std::string>& values(const std::string& name) const;
+  /// Value of an add_int option: validated by parse(), or the registered
+  /// default when absent.
+  std::int64_t integer(const std::string& name) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 
@@ -77,13 +78,15 @@ class ArgParser {
     std::string help;
     std::string def;
     Kind kind = Kind::kFlag;
-    bool given = false;
-    std::string value;
+    std::string value{};  // def until given (kInt: ""), then the last one
     std::int64_t ival = 0;  // kInt: validated value (default until given)
     std::int64_t imin = 0;
     std::int64_t imax = 0;
+    bool given = false;
+    std::vector<std::string> values{};  // every occurrence's value
   };
 
+  void add(Opt o);
   Opt* find(const std::string& name);
   const Opt* find(const std::string& name) const;
 

@@ -104,8 +104,8 @@ int cli_main(int argc, char** argv) {
 
   EngineOptions opts;
   opts.filter = args.str("filter");
-  opts.jobs = static_cast<std::size_t>(args.integer("jobs", 0));
-  opts.repeat = static_cast<std::uint32_t>(args.integer("repeat", 1));
+  opts.jobs = static_cast<std::size_t>(args.integer("jobs"));
+  opts.repeat = static_cast<std::uint32_t>(args.integer("repeat"));
   opts.timeout_ms = args.integer("timeout-ms");
   opts.retries = static_cast<std::uint32_t>(args.integer("retries"));
   if (const std::int64_t seed = args.integer("fault-seed"); seed != 0)

@@ -209,10 +209,7 @@ EngineResult Engine::run() {
   // (tests nest engine runs) can't bleed stale samples into this report's
   // host_prof section. The engine only *disables* what it enabled — an
   // experiment's own prof::Session (sim_perf) or an outer caller wins.
-  if (prof::compiled_in()) prof::reset();
-  if (opts_.profile && !prof::compiled_in())
-    std::printf("(--profile requested but profiling is compiled out via "
-                "ARMBAR_PROF_DISABLED; host_prof will be absent)\n");
+  prof::reset();
   const bool prof_owned = opts_.profile && !prof::enabled();
   if (prof_owned) prof::set_enabled(true);
 
@@ -452,22 +449,20 @@ EngineResult Engine::run() {
   // snapshots whatever recorded — an experiment-owned prof::Session
   // (sim_perf) produces a host_prof section even without --profile.
   if (prof_owned) prof::set_enabled(false);
-  if (prof::compiled_in()) {
-    const prof::Snapshot snap = prof::snapshot();
-    if (snap.has_data()) {
-      report.set_host_prof(prof::host_prof_json(snap));
-      print_host_profile(snap);
-      if (!opts_.profile_folded.empty()) {
-        io_ok = prof::write_collapsed(opts_.profile_folded, snap) && io_ok;
-        std::printf("profile: %s (flamegraph.pl-compatible collapsed "
-                    "stacks)\n",
-                    opts_.profile_folded.c_str());
-      }
-      if (!opts_.profile_chrome.empty()) {
-        io_ok = prof::write_chrome(opts_.profile_chrome, snap) && io_ok;
-        std::printf("profile: %s (open in https://ui.perfetto.dev)\n",
-                    opts_.profile_chrome.c_str());
-      }
+  const prof::Snapshot snap = prof::snapshot();
+  if (snap.has_data()) {
+    report.set_host_prof(prof::host_prof_json(snap));
+    print_host_profile(snap);
+    if (!opts_.profile_folded.empty()) {
+      io_ok = prof::write_collapsed(opts_.profile_folded, snap) && io_ok;
+      std::printf("profile: %s (flamegraph.pl-compatible collapsed "
+                  "stacks)\n",
+                  opts_.profile_folded.c_str());
+    }
+    if (!opts_.profile_chrome.empty()) {
+      io_ok = prof::write_chrome(opts_.profile_chrome, snap) && io_ok;
+      std::printf("profile: %s (open in https://ui.perfetto.dev)\n",
+                  opts_.profile_chrome.c_str());
     }
   }
 

@@ -97,10 +97,6 @@ struct CoreStats {
     for (auto v : stall_cycles) s += v;
     return s;
   }
-
-  /// Zero every counter (parity with MemStats::reset_stats) so benches can
-  /// warm up, reset, then measure a clean window.
-  void reset() { *this = CoreStats{}; }
 };
 
 class Core {
@@ -115,9 +111,6 @@ class Core {
   std::uint64_t reg(Reg r) const { return r == XZR ? 0 : regs_[r]; }
 
   void set_tso(bool tso) { tso_ = tso; }
-
-  /// Zero the per-core counters without touching architectural state.
-  void reset_stats() { stats_.reset(); }
 
   CoreId id() const { return id_; }
   bool halted() const { return halted_; }

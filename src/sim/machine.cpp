@@ -85,11 +85,6 @@ void Machine::set_tracer(trace::Tracer* t) {
   tracer_ = t;
 }
 
-void Machine::reset_stats() {
-  for (auto& c : cores_) c->reset_stats();
-  mem_->reset_stats();
-}
-
 std::vector<std::uint64_t> Machine::extract_state(
     const std::vector<std::pair<CoreId, Reg>>& regs,
     const std::vector<Addr>& addrs) const {
@@ -111,7 +106,6 @@ RunResult Machine::run(const RunConfig& cfg) {
   const Cycle max_cycles = cfg.max_cycles;
   const bool attach = cfg.tracer != nullptr;
   if (attach) set_tracer(cfg.tracer);
-  if (cfg.stats == RunConfig::Stats::kResetBeforeRun) reset_stats();
 
   // Fault injection: an explicit plan wins; otherwise fall back to the
   // process-global plan the runner installs for chaos sweeps. The engine is

@@ -50,11 +50,6 @@ struct RunConfig {
   /// counters, folded in from CoreStats when the run returns. Needs no
   /// tracer, and timing is unaffected. A run that throws records nothing.
   trace::MetricsRegistry* metrics = nullptr;
-  enum class Stats : std::uint8_t {
-    kKeep,            ///< counters keep accumulating (default)
-    kResetBeforeRun,  ///< reset_stats() first: measure a clean window
-  };
-  Stats stats = Stats::kKeep;
 
   /// Fault-injection plan for this run. When null, Machine::run() falls
   /// back to the process-global plan (fault::set_global_fault_plan) — the
@@ -108,11 +103,6 @@ class Machine {
   /// Also installs the stall-cause display names so exports read
   /// "barrier" instead of a code. Detach with nullptr.
   void set_tracer(trace::Tracer* t);
-
-  /// Zero every per-core counter and the coherence-traffic counters.
-  /// Architectural and timing state is untouched, so a bench can warm up,
-  /// reset, and measure a clean window.
-  void reset_stats();
 
   /// Run until every program-bearing core halts or cfg.max_cycles elapses.
   /// A machine runs once; construct a fresh one per experiment point.

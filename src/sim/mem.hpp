@@ -149,7 +149,6 @@ class MemorySystem {
   bool any_remote_holder(CoreId core, Addr a) const;
 
   const MemStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = MemStats{}; }
 
   /// Coherence state of `a`'s line. An untouched line reads as the shared
   /// default state, so read the reference before the next mutating access.

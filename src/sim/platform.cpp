@@ -100,4 +100,15 @@ PlatformSpec platform_by_name(const std::string& name) {
   ARMBAR_CHECK_MSG(false, "unknown platform name");
 }
 
+bool known_platform(const std::string& name, std::string* err) {
+  std::string have;
+  for (const PlatformSpec& p : all_platforms()) {
+    if (p.name == name) return true;
+    have += ' ';
+    have += p.name;
+  }
+  *err = "unknown platform '" + name + "' (have:" + have + ")";
+  return false;
+}
+
 }  // namespace armbar::sim

@@ -99,4 +99,8 @@ std::vector<PlatformSpec> all_platforms();
 /// Look up a preset by name; aborts on unknown name.
 PlatformSpec platform_by_name(const std::string& name);
 
+/// True when `name` names a preset. Otherwise fills *err with a message
+/// that names it and lists the presets: the check for command-line input.
+bool known_platform(const std::string& name, std::string* err);
+
 }  // namespace armbar::sim

@@ -70,10 +70,10 @@ Json to_chrome_trace(const std::vector<Event>& events, const ChromeTraceOptions&
   }
 
   for (const auto& e : events) {
-    const double ts = static_cast<double>(e.begin) * opts.us_per_cycle;
-    const double dur = e.end > e.begin
-                           ? static_cast<double>(e.end - e.begin) * opts.us_per_cycle
-                           : -1.0;
+    // One simulated cycle is one microsecond of trace time.
+    const double ts = static_cast<double>(e.begin);
+    const double dur =
+        e.end > e.begin ? static_cast<double>(e.end - e.begin) : -1.0;
     Json args = Json::object();
     args.set("cycle", e.begin);
     if (e.end > e.begin) args.set("cycles", e.end - e.begin);
@@ -162,7 +162,7 @@ Json to_chrome_trace(const std::vector<Event>& events, const ChromeTraceOptions&
   out.set("otherData", [&] {
     Json d = Json::object();
     d.set("generator", "armbar::trace");
-    d.set("cycle_unit_us", opts.us_per_cycle);
+    d.set("cycle_unit_us", 1.0);
     return d;
   }());
   return out;

@@ -16,8 +16,6 @@
 namespace armbar::trace {
 
 struct ChromeTraceOptions {
-  /// Trace-time microseconds per simulated cycle.
-  double us_per_cycle = 1.0;
   std::string process_name = "armbar-sim";
   /// Emitted as the op-name resolver for instruction/barrier events; when
   /// empty, the numeric op code is used. The simulator passes sim::to_string.

@@ -25,6 +25,7 @@
 #include "sim/fault/fault.hpp"
 #include "sim/machine.hpp"
 #include "sim/platform.hpp"
+#include "sim/program.hpp"
 
 #ifndef ARMBAR_TEST_SOURCE_DIR
 #error "ARMBAR_TEST_SOURCE_DIR must be defined by the build"
@@ -42,20 +43,6 @@ std::string hex64(std::uint64_t v) {
   return os.str();
 }
 
-// Same stagger the differ applies: n leading nops, branch targets shifted.
-sim::Program skewed(const sim::Program& p, std::uint32_t n) {
-  if (n == 0) return p;
-  sim::Program out;
-  out.name = p.name;
-  out.code.reserve(p.code.size() + n);
-  for (std::uint32_t i = 0; i < n; ++i) out.code.push_back({sim::Op::kNop});
-  for (sim::Instr ins : p.code) {
-    if (sim::is_branch(ins.op)) ins.target += n;
-    out.code.push_back(ins);
-  }
-  return out;
-}
-
 /// One canonical line per run: coordinates, completion, total cycles,
 /// observed final state, and the per-core timing counters. Everything the
 /// fast path could plausibly perturb lands in the string.
@@ -68,7 +55,8 @@ void render_run(std::ostream& os, const model::ConcurrentProgram& prog,
   progs.reserve(prog.threads.size());
   for (std::size_t t = 0; t < prog.threads.size(); ++t)
     progs.push_back(
-        skewed(prog.threads[t], skew * static_cast<std::uint32_t>(t + 1) % 32));
+        sim::insert_nops(prog.threads[t], 0,
+                         skew * static_cast<std::uint32_t>(t + 1) % 32));
   for (std::size_t t = 0; t < progs.size(); ++t)
     m.load_program(static_cast<CoreId>(t), progs[t]);
 

@@ -81,9 +81,10 @@ TEST(FuzzGen, LoadsObservedAndMemoryInitialized) {
         p.observe_regs.begin(), p.observe_regs.end());
     for (std::uint32_t t = 0; t < p.threads.size(); ++t)
       for (const Instr& ins : p.threads[t].code)
-        if (armbar::sim::is_load(ins.op))
+        if (armbar::sim::is_load(ins.op)) {
           EXPECT_TRUE(observed.count({t, ins.rd}))
               << "seed " << seed << ": unobserved load target";
+        }
     std::set<armbar::Addr> init;
     for (const auto& [a, v] : p.init) init.insert(a);
     const std::set<armbar::Addr> mem(p.observe_mem.begin(),

@@ -43,7 +43,7 @@ void perturb(Rng& rng) {
       break;
     case 1: {
       volatile std::uint64_t sink = 0;
-      for (std::uint64_t i = 0; i < 64 + rng.below(192); ++i) sink += i;
+      for (std::uint64_t i = 0; i < 64 + rng.below(192); ++i) sink = sink + i;
       break;
     }
     case 2:

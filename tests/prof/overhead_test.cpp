@@ -65,7 +65,6 @@ std::uint64_t median_of(std::vector<std::uint64_t> v) {
 }
 
 TEST(ProfOverhead, ProfiledRunWithinBudget) {
-  if (!compiled_in()) GTEST_SKIP() << "profiler compiled out";
   constexpr std::uint32_t kRounds = 2000;
   constexpr int kReps = 5;
   const Program prod = producer(kRounds);

@@ -36,7 +36,7 @@ TEST(ArgParser, FlagsDefaultAbsent) {
   EXPECT_FALSE(p.given("list"));
   EXPECT_FALSE(p.given("jobs"));
   EXPECT_EQ(p.str("jobs"), "0");  // the registered default
-  EXPECT_EQ(p.integer("jobs", 7), 7);
+  EXPECT_TRUE(p.values("jobs").empty());
 }
 
 TEST(ArgParser, ValueBothSpellings) {
@@ -47,8 +47,18 @@ TEST(ArgParser, ValueBothSpellings) {
     std::string err;
     ASSERT_TRUE(p.parse(a.argc(), a.argv(), &err)) << err;
     EXPECT_TRUE(p.given("jobs"));
-    EXPECT_EQ(p.integer("jobs", 0), 8);
+    EXPECT_EQ(p.str("jobs"), "8");
   }
+}
+
+TEST(ArgParser, RepeatedValueKeepsEveryOccurrence) {
+  ArgParser p = make_parser();
+  Args a({"prog", "--jobs", "1", "pos", "--jobs=2", "--jobs", "3"});
+  std::string err;
+  ASSERT_TRUE(p.parse(a.argc(), a.argv(), &err)) << err;
+  EXPECT_EQ(p.values("jobs"), (std::vector<std::string>{"1", "2", "3"}));
+  EXPECT_EQ(p.str("jobs"), "3");  // the last occurrence
+  EXPECT_EQ(p.positionals(), std::vector<std::string>{"pos"});
 }
 
 TEST(ArgParser, OptionalValueWithAndWithout) {
@@ -84,11 +94,14 @@ TEST(ArgParser, UnknownOptionFails) {
 }
 
 TEST(ArgParser, MissingRequiredValueFails) {
-  ArgParser p = make_parser();
-  Args a({"prog", "--jobs"});
-  std::string err;
-  EXPECT_FALSE(p.parse(a.argc(), a.argv(), &err));
-  EXPECT_NE(err.find("requires a value"), std::string::npos);
+  for (const auto& words : {std::vector<std::string>{"prog", "--jobs"},
+                            std::vector<std::string>{"prog", "--jobs", "--list"}}) {
+    ArgParser p = make_parser();
+    Args a(words);
+    std::string err;
+    EXPECT_FALSE(p.parse(a.argc(), a.argv(), &err));
+    EXPECT_NE(err.find("requires a value"), std::string::npos);
+  }
 }
 
 TEST(ArgParser, FlagRejectsValue) {
@@ -195,8 +208,8 @@ TEST(ArgParserInt, HelpRendersLikeAValueOption) {
   EXPECT_NE(h.find("(default: 0)"), std::string::npos);
 }
 
-// parse_int_option: the add_int check, callable by binaries that walk argv
-// by hand (armbar-lockver, armbar-opt).
+// parse_int_option: the add_int check, for list elements, repeated options
+// and positionals (armbar-fuzz --skews, armbar-opt --seed, the examples).
 TEST(ParseIntOption, ValidValuesAndBoundsAreAccepted) {
   std::int64_t v = -1;
   std::string err;
@@ -233,14 +246,6 @@ TEST(ParseIntOption, NegativeAndOverflowingValuesAreOutOfRange) {
         << err;
     EXPECT_EQ(v, 7);
   }
-}
-
-TEST(ArgParser, MalformedIntegerDies) {
-  ArgParser p = make_parser();
-  Args a({"prog", "--jobs", "eight"});
-  std::string err;
-  ASSERT_TRUE(p.parse(a.argc(), a.argv(), &err));
-  EXPECT_DEATH(p.integer("jobs", 0), "malformed integer");
 }
 
 }  // namespace

@@ -74,7 +74,6 @@ EngineOptions base_opts() {
 }
 
 TEST(EngineProfile, ProfileEmitsValidHostProf) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "profiler compiled out";
   Registry r = make_registry();
   EngineOptions o = base_opts();
   o.filter = "prof_sim";
@@ -99,7 +98,6 @@ TEST(EngineProfile, ProfileEmitsValidHostProf) {
 TEST(EngineProfile, FullyCachedRunHasValidHostProf) {
   // A warm run simulates nothing. Its host profile must still validate,
   // with the time it did spend attributed to cache lookups.
-  if (!prof::compiled_in()) GTEST_SKIP() << "profiler compiled out";
   Registry r = make_registry();
   const std::string dir = ::testing::TempDir() + "armbar_profile_cache";
   std::filesystem::remove_all(dir);

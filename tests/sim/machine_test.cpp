@@ -222,26 +222,6 @@ TEST(Machine, RunConfigAttachesTracer) {
   EXPECT_EQ(r_plain.cycles, r_traced.cycles);  // recording, not perturbing
 }
 
-TEST(Machine, RunConfigStatsResetBeforeRun) {
-  // kResetBeforeRun zeroes the counters at run start, so pre-run stats
-  // poking (warm-up accounting) does not leak into the measured window.
-  Asm a;
-  a.movi(X0, 0x4000);
-  a.str(X0, X0, 0);
-  a.halt();
-  Program p = a.take("t");
-
-  Machine m(rpi4(), 1u << 20);
-  m.load_program(0, p);
-  m.mem().poke(0x4000, 1);  // generates no stats, but exercise the path
-  RunConfig cfg;
-  cfg.stats = RunConfig::Stats::kResetBeforeRun;
-  auto r = m.run(cfg);
-  ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.cores[0].stores, 1u);
-  EXPECT_GE(r.cores[0].instructions, 3u);
-}
-
 TEST(Machine, SixtyFourCoresAllRun) {
   Machine m(kunpeng916(), 16u << 20);
   Asm a;

@@ -215,54 +215,6 @@ RunResult wake_both_sides(const PlatformSpec& spec) {
   return m.run({});
 }
 
-std::vector<Cycle> halted_at(const RunResult& r) {
-  std::vector<Cycle> out;
-  for (const CoreStats& s : r.cores) out.push_back(s.halted_at);
-  return out;
-}
-
-TEST(DueSweep, StoreWakesParkedCoresOnBothSidesOfTheStorer) {
-  const RunResult r = wake_both_sides(kunpeng916());
-  ASSERT_TRUE(r.completed);
-  ASSERT_EQ(r.cores.size(), 64u);
-  for (CoreId c = 0; c < 64; ++c)
-    EXPECT_EQ(r.cores[c].wfe_parks, c % 32 == 16 ? 0u : 6u) << "core " << c;
-  // Pinned: the values the walk over every live core produced. Each node
-  // halts the same way: its storer at 2703, then the woken waiters one
-  // read-occupancy window (12 cycles) apart, in id order.
-  EXPECT_EQ(r.cycles, 3332u);
-  const std::vector<Cycle> node = {
-      2972, 2984, 2996, 3008, 3020, 3032, 3044, 3056,
-      3068, 3080, 3092, 3104, 3116, 3128, 3140, 3152,
-      2703, 3164, 3176, 3188, 3200, 3212, 3224, 3236,
-      3248, 3260, 3272, 3284, 3296, 3308, 3320, 3332};
-  std::vector<Cycle> expect = node;
-  expect.insert(expect.end(), node.begin(), node.end());
-  EXPECT_EQ(halted_at(r), expect);
-}
-
-TEST(DueSweep, SameCycleWakeJoinsTheSweep) {
-  // With free invalidations a woken parker's wake lands on the very cycle
-  // being swept: later ids join the sweep, earlier ids are stepped by the
-  // next pass at the same cycle.
-  PlatformSpec spec = kunpeng916();
-  spec.lat.inv_local = 0;
-  spec.lat.inv_remote = 0;
-  const RunResult r = wake_both_sides(spec);
-  ASSERT_TRUE(r.completed);
-  // Pinned as above. The waiters above the storer load first: they were
-  // stepped in the storer's own sweep, the ones below it one pass later.
-  EXPECT_EQ(r.cycles, 3182u);
-  const std::vector<Cycle> node = {
-      3002, 3014, 3026, 3038, 3050, 3062, 3074, 3086,
-      3098, 3110, 3122, 3134, 3146, 3158, 3170, 3182,
-      2703, 2822, 2834, 2846, 2858, 2870, 2882, 2894,
-      2906, 2918, 2930, 2942, 2954, 2966, 2978, 2990};
-  std::vector<Cycle> expect = node;
-  expect.insert(expect.end(), node.begin(), node.end());
-  EXPECT_EQ(halted_at(r), expect);
-}
-
 /// Every RunResult field: completion and cycles, then every CoreStats field
 /// of each program-bearing core in id order (instructions, loads, stores,
 /// load_misses, barriers, squashes, wfe_parks, stxr_failures, sb_retired,
@@ -285,6 +237,158 @@ std::string describe(const RunResult& r) {
      << " " << m.getm_remote << " " << m.mem_fills << " " << m.upgrades << " "
      << m.hits << "\n";
   return os.str();
+}
+
+TEST(DueSweep, StoreWakesParkedCoresOnBothSidesOfTheStorer) {
+  // Pinned: the values the walk over every live core produced. Each node
+  // halts the same way: its storer at 2703 after parking nothing, then the
+  // woken waiters, each parked 6 times, one read-occupancy window (12
+  // cycles) apart, in id order.
+  EXPECT_EQ(describe(wake_both_sides(kunpeng916())), R"(completed=1 cycles=3332
+0: 21 7 0 2 0 1 6 0 0 halted_at=2972 stalls 0 0 0 0 0 0 0 98 12 0
+1: 21 7 0 2 0 1 6 0 0 halted_at=2984 stalls 0 0 0 0 0 0 0 110 12 0
+2: 21 7 0 2 0 1 6 0 0 halted_at=2996 stalls 0 0 0 0 0 0 0 122 12 0
+3: 21 7 0 2 0 1 6 0 0 halted_at=3008 stalls 0 0 0 0 0 0 0 134 12 0
+4: 21 7 0 2 0 1 6 0 0 halted_at=3020 stalls 0 0 0 0 0 0 0 146 12 0
+5: 21 7 0 2 0 1 6 0 0 halted_at=3032 stalls 0 0 0 0 0 0 0 158 12 0
+6: 21 7 0 2 0 1 6 0 0 halted_at=3044 stalls 0 0 0 0 0 0 0 170 12 0
+7: 21 7 0 2 0 1 6 0 0 halted_at=3056 stalls 0 0 0 0 0 0 0 182 12 0
+8: 21 7 0 2 0 1 6 0 0 halted_at=3068 stalls 0 0 0 0 0 0 0 194 12 0
+9: 21 7 0 2 0 1 6 0 0 halted_at=3080 stalls 0 0 0 0 0 0 0 206 12 0
+10: 21 7 0 2 0 1 6 0 0 halted_at=3092 stalls 0 0 0 0 0 0 0 218 12 0
+11: 21 7 0 2 0 1 6 0 0 halted_at=3104 stalls 0 0 0 0 0 0 0 230 12 0
+12: 21 7 0 2 0 1 6 0 0 halted_at=3116 stalls 0 0 0 0 0 0 0 242 12 0
+13: 21 7 0 2 0 1 6 0 0 halted_at=3128 stalls 0 0 0 0 0 0 0 254 12 0
+14: 21 7 0 2 0 1 6 0 0 halted_at=3140 stalls 0 0 0 0 0 0 0 266 12 0
+15: 21 7 0 2 0 1 6 0 0 halted_at=3152 stalls 0 0 0 0 0 0 0 278 12 0
+16: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+17: 21 7 0 2 0 1 6 0 0 halted_at=3164 stalls 0 0 0 0 0 0 0 290 12 0
+18: 21 7 0 2 0 1 6 0 0 halted_at=3176 stalls 0 0 0 0 0 0 0 302 12 0
+19: 21 7 0 2 0 1 6 0 0 halted_at=3188 stalls 0 0 0 0 0 0 0 314 12 0
+20: 21 7 0 2 0 1 6 0 0 halted_at=3200 stalls 0 0 0 0 0 0 0 326 12 0
+21: 21 7 0 2 0 1 6 0 0 halted_at=3212 stalls 0 0 0 0 0 0 0 338 12 0
+22: 21 7 0 2 0 1 6 0 0 halted_at=3224 stalls 0 0 0 0 0 0 0 350 12 0
+23: 21 7 0 2 0 1 6 0 0 halted_at=3236 stalls 0 0 0 0 0 0 0 362 12 0
+24: 21 7 0 2 0 1 6 0 0 halted_at=3248 stalls 0 0 0 0 0 0 0 374 12 0
+25: 21 7 0 2 0 1 6 0 0 halted_at=3260 stalls 0 0 0 0 0 0 0 386 12 0
+26: 21 7 0 2 0 1 6 0 0 halted_at=3272 stalls 0 0 0 0 0 0 0 398 12 0
+27: 21 7 0 2 0 1 6 0 0 halted_at=3284 stalls 0 0 0 0 0 0 0 410 12 0
+28: 21 7 0 2 0 1 6 0 0 halted_at=3296 stalls 0 0 0 0 0 0 0 422 12 0
+29: 21 7 0 2 0 1 6 0 0 halted_at=3308 stalls 0 0 0 0 0 0 0 434 12 0
+30: 21 7 0 2 0 1 6 0 0 halted_at=3320 stalls 0 0 0 0 0 0 0 446 12 0
+31: 21 7 0 2 0 1 6 0 0 halted_at=3332 stalls 0 0 0 0 0 0 0 458 12 0
+32: 21 7 0 2 0 1 6 0 0 halted_at=2972 stalls 0 0 0 0 0 0 0 98 12 0
+33: 21 7 0 2 0 1 6 0 0 halted_at=2984 stalls 0 0 0 0 0 0 0 110 12 0
+34: 21 7 0 2 0 1 6 0 0 halted_at=2996 stalls 0 0 0 0 0 0 0 122 12 0
+35: 21 7 0 2 0 1 6 0 0 halted_at=3008 stalls 0 0 0 0 0 0 0 134 12 0
+36: 21 7 0 2 0 1 6 0 0 halted_at=3020 stalls 0 0 0 0 0 0 0 146 12 0
+37: 21 7 0 2 0 1 6 0 0 halted_at=3032 stalls 0 0 0 0 0 0 0 158 12 0
+38: 21 7 0 2 0 1 6 0 0 halted_at=3044 stalls 0 0 0 0 0 0 0 170 12 0
+39: 21 7 0 2 0 1 6 0 0 halted_at=3056 stalls 0 0 0 0 0 0 0 182 12 0
+40: 21 7 0 2 0 1 6 0 0 halted_at=3068 stalls 0 0 0 0 0 0 0 194 12 0
+41: 21 7 0 2 0 1 6 0 0 halted_at=3080 stalls 0 0 0 0 0 0 0 206 12 0
+42: 21 7 0 2 0 1 6 0 0 halted_at=3092 stalls 0 0 0 0 0 0 0 218 12 0
+43: 21 7 0 2 0 1 6 0 0 halted_at=3104 stalls 0 0 0 0 0 0 0 230 12 0
+44: 21 7 0 2 0 1 6 0 0 halted_at=3116 stalls 0 0 0 0 0 0 0 242 12 0
+45: 21 7 0 2 0 1 6 0 0 halted_at=3128 stalls 0 0 0 0 0 0 0 254 12 0
+46: 21 7 0 2 0 1 6 0 0 halted_at=3140 stalls 0 0 0 0 0 0 0 266 12 0
+47: 21 7 0 2 0 1 6 0 0 halted_at=3152 stalls 0 0 0 0 0 0 0 278 12 0
+48: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+49: 21 7 0 2 0 1 6 0 0 halted_at=3164 stalls 0 0 0 0 0 0 0 290 12 0
+50: 21 7 0 2 0 1 6 0 0 halted_at=3176 stalls 0 0 0 0 0 0 0 302 12 0
+51: 21 7 0 2 0 1 6 0 0 halted_at=3188 stalls 0 0 0 0 0 0 0 314 12 0
+52: 21 7 0 2 0 1 6 0 0 halted_at=3200 stalls 0 0 0 0 0 0 0 326 12 0
+53: 21 7 0 2 0 1 6 0 0 halted_at=3212 stalls 0 0 0 0 0 0 0 338 12 0
+54: 21 7 0 2 0 1 6 0 0 halted_at=3224 stalls 0 0 0 0 0 0 0 350 12 0
+55: 21 7 0 2 0 1 6 0 0 halted_at=3236 stalls 0 0 0 0 0 0 0 362 12 0
+56: 21 7 0 2 0 1 6 0 0 halted_at=3248 stalls 0 0 0 0 0 0 0 374 12 0
+57: 21 7 0 2 0 1 6 0 0 halted_at=3260 stalls 0 0 0 0 0 0 0 386 12 0
+58: 21 7 0 2 0 1 6 0 0 halted_at=3272 stalls 0 0 0 0 0 0 0 398 12 0
+59: 21 7 0 2 0 1 6 0 0 halted_at=3284 stalls 0 0 0 0 0 0 0 410 12 0
+60: 21 7 0 2 0 1 6 0 0 halted_at=3296 stalls 0 0 0 0 0 0 0 422 12 0
+61: 21 7 0 2 0 1 6 0 0 halted_at=3308 stalls 0 0 0 0 0 0 0 434 12 0
+62: 21 7 0 2 0 1 6 0 0 halted_at=3320 stalls 0 0 0 0 0 0 0 446 12 0
+63: 21 7 0 2 0 1 6 0 0 halted_at=3332 stalls 0 0 0 0 0 0 0 458 12 0
+mem: 122 0 2 0 2 0 310
+)");
+}
+
+TEST(DueSweep, SameCycleWakeJoinsTheSweep) {
+  // With free invalidations a woken parker's wake lands on the very cycle
+  // being swept: later ids join the sweep, earlier ids are stepped by the
+  // next pass at the same cycle.
+  PlatformSpec spec = kunpeng916();
+  spec.lat.inv_local = 0;
+  spec.lat.inv_remote = 0;
+  // Pinned as above. The waiters above the storer load first: they were
+  // stepped in the storer's own sweep, the ones below it one pass later.
+  EXPECT_EQ(describe(wake_both_sides(spec)), R"(completed=1 cycles=3182
+0: 21 7 0 2 0 1 6 0 0 halted_at=3002 stalls 0 0 0 0 0 0 0 278 12 0
+1: 21 7 0 2 0 1 6 0 0 halted_at=3014 stalls 0 0 0 0 0 0 0 290 12 0
+2: 21 7 0 2 0 1 6 0 0 halted_at=3026 stalls 0 0 0 0 0 0 0 302 12 0
+3: 21 7 0 2 0 1 6 0 0 halted_at=3038 stalls 0 0 0 0 0 0 0 314 12 0
+4: 21 7 0 2 0 1 6 0 0 halted_at=3050 stalls 0 0 0 0 0 0 0 326 12 0
+5: 21 7 0 2 0 1 6 0 0 halted_at=3062 stalls 0 0 0 0 0 0 0 338 12 0
+6: 21 7 0 2 0 1 6 0 0 halted_at=3074 stalls 0 0 0 0 0 0 0 350 12 0
+7: 21 7 0 2 0 1 6 0 0 halted_at=3086 stalls 0 0 0 0 0 0 0 362 12 0
+8: 21 7 0 2 0 1 6 0 0 halted_at=3098 stalls 0 0 0 0 0 0 0 374 12 0
+9: 21 7 0 2 0 1 6 0 0 halted_at=3110 stalls 0 0 0 0 0 0 0 386 12 0
+10: 21 7 0 2 0 1 6 0 0 halted_at=3122 stalls 0 0 0 0 0 0 0 398 12 0
+11: 21 7 0 2 0 1 6 0 0 halted_at=3134 stalls 0 0 0 0 0 0 0 410 12 0
+12: 21 7 0 2 0 1 6 0 0 halted_at=3146 stalls 0 0 0 0 0 0 0 422 12 0
+13: 21 7 0 2 0 1 6 0 0 halted_at=3158 stalls 0 0 0 0 0 0 0 434 12 0
+14: 21 7 0 2 0 1 6 0 0 halted_at=3170 stalls 0 0 0 0 0 0 0 446 12 0
+15: 21 7 0 2 0 1 6 0 0 halted_at=3182 stalls 0 0 0 0 0 0 0 458 12 0
+16: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+17: 21 7 0 2 0 1 6 0 0 halted_at=2822 stalls 0 0 0 0 0 0 0 98 12 0
+18: 21 7 0 2 0 1 6 0 0 halted_at=2834 stalls 0 0 0 0 0 0 0 110 12 0
+19: 21 7 0 2 0 1 6 0 0 halted_at=2846 stalls 0 0 0 0 0 0 0 122 12 0
+20: 21 7 0 2 0 1 6 0 0 halted_at=2858 stalls 0 0 0 0 0 0 0 134 12 0
+21: 21 7 0 2 0 1 6 0 0 halted_at=2870 stalls 0 0 0 0 0 0 0 146 12 0
+22: 21 7 0 2 0 1 6 0 0 halted_at=2882 stalls 0 0 0 0 0 0 0 158 12 0
+23: 21 7 0 2 0 1 6 0 0 halted_at=2894 stalls 0 0 0 0 0 0 0 170 12 0
+24: 21 7 0 2 0 1 6 0 0 halted_at=2906 stalls 0 0 0 0 0 0 0 182 12 0
+25: 21 7 0 2 0 1 6 0 0 halted_at=2918 stalls 0 0 0 0 0 0 0 194 12 0
+26: 21 7 0 2 0 1 6 0 0 halted_at=2930 stalls 0 0 0 0 0 0 0 206 12 0
+27: 21 7 0 2 0 1 6 0 0 halted_at=2942 stalls 0 0 0 0 0 0 0 218 12 0
+28: 21 7 0 2 0 1 6 0 0 halted_at=2954 stalls 0 0 0 0 0 0 0 230 12 0
+29: 21 7 0 2 0 1 6 0 0 halted_at=2966 stalls 0 0 0 0 0 0 0 242 12 0
+30: 21 7 0 2 0 1 6 0 0 halted_at=2978 stalls 0 0 0 0 0 0 0 254 12 0
+31: 21 7 0 2 0 1 6 0 0 halted_at=2990 stalls 0 0 0 0 0 0 0 266 12 0
+32: 21 7 0 2 0 1 6 0 0 halted_at=3002 stalls 0 0 0 0 0 0 0 278 12 0
+33: 21 7 0 2 0 1 6 0 0 halted_at=3014 stalls 0 0 0 0 0 0 0 290 12 0
+34: 21 7 0 2 0 1 6 0 0 halted_at=3026 stalls 0 0 0 0 0 0 0 302 12 0
+35: 21 7 0 2 0 1 6 0 0 halted_at=3038 stalls 0 0 0 0 0 0 0 314 12 0
+36: 21 7 0 2 0 1 6 0 0 halted_at=3050 stalls 0 0 0 0 0 0 0 326 12 0
+37: 21 7 0 2 0 1 6 0 0 halted_at=3062 stalls 0 0 0 0 0 0 0 338 12 0
+38: 21 7 0 2 0 1 6 0 0 halted_at=3074 stalls 0 0 0 0 0 0 0 350 12 0
+39: 21 7 0 2 0 1 6 0 0 halted_at=3086 stalls 0 0 0 0 0 0 0 362 12 0
+40: 21 7 0 2 0 1 6 0 0 halted_at=3098 stalls 0 0 0 0 0 0 0 374 12 0
+41: 21 7 0 2 0 1 6 0 0 halted_at=3110 stalls 0 0 0 0 0 0 0 386 12 0
+42: 21 7 0 2 0 1 6 0 0 halted_at=3122 stalls 0 0 0 0 0 0 0 398 12 0
+43: 21 7 0 2 0 1 6 0 0 halted_at=3134 stalls 0 0 0 0 0 0 0 410 12 0
+44: 21 7 0 2 0 1 6 0 0 halted_at=3146 stalls 0 0 0 0 0 0 0 422 12 0
+45: 21 7 0 2 0 1 6 0 0 halted_at=3158 stalls 0 0 0 0 0 0 0 434 12 0
+46: 21 7 0 2 0 1 6 0 0 halted_at=3170 stalls 0 0 0 0 0 0 0 446 12 0
+47: 21 7 0 2 0 1 6 0 0 halted_at=3182 stalls 0 0 0 0 0 0 0 458 12 0
+48: 2704 0 1 0 0 0 0 0 1 halted_at=2703 stalls 0 0 0 0 0 0 0 0 0 0
+49: 21 7 0 2 0 1 6 0 0 halted_at=2822 stalls 0 0 0 0 0 0 0 98 12 0
+50: 21 7 0 2 0 1 6 0 0 halted_at=2834 stalls 0 0 0 0 0 0 0 110 12 0
+51: 21 7 0 2 0 1 6 0 0 halted_at=2846 stalls 0 0 0 0 0 0 0 122 12 0
+52: 21 7 0 2 0 1 6 0 0 halted_at=2858 stalls 0 0 0 0 0 0 0 134 12 0
+53: 21 7 0 2 0 1 6 0 0 halted_at=2870 stalls 0 0 0 0 0 0 0 146 12 0
+54: 21 7 0 2 0 1 6 0 0 halted_at=2882 stalls 0 0 0 0 0 0 0 158 12 0
+55: 21 7 0 2 0 1 6 0 0 halted_at=2894 stalls 0 0 0 0 0 0 0 170 12 0
+56: 21 7 0 2 0 1 6 0 0 halted_at=2906 stalls 0 0 0 0 0 0 0 182 12 0
+57: 21 7 0 2 0 1 6 0 0 halted_at=2918 stalls 0 0 0 0 0 0 0 194 12 0
+58: 21 7 0 2 0 1 6 0 0 halted_at=2930 stalls 0 0 0 0 0 0 0 206 12 0
+59: 21 7 0 2 0 1 6 0 0 halted_at=2942 stalls 0 0 0 0 0 0 0 218 12 0
+60: 21 7 0 2 0 1 6 0 0 halted_at=2954 stalls 0 0 0 0 0 0 0 230 12 0
+61: 21 7 0 2 0 1 6 0 0 halted_at=2966 stalls 0 0 0 0 0 0 0 242 12 0
+62: 21 7 0 2 0 1 6 0 0 halted_at=2978 stalls 0 0 0 0 0 0 0 254 12 0
+63: 21 7 0 2 0 1 6 0 0 halted_at=2990 stalls 0 0 0 0 0 0 0 266 12 0
+mem: 122 0 2 0 2 0 310
+)");
 }
 
 TEST(DueSweep, NextCycleWakeEntersTheLane) {

@@ -127,10 +127,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool profile = args.given("profile");
-  if (profile && !armbar::prof::compiled_in())
-    std::fprintf(stderr,
-                 "armbar-fuzz: --profile requested but profiling is compiled "
-                 "out via ARMBAR_PROF_DISABLED; host_prof will be absent\n");
 
   DiffOptions base = DiffOptions::defaults(
       static_cast<std::uint32_t>(args.integer("chaos-seeds")));
@@ -140,25 +136,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "armbar-fuzz: --platforms list is empty\n");
       return 2;
     }
-    for (const std::string& p : base.platforms) {
-      bool known = false;
-      for (const auto& spec : armbar::sim::all_platforms())
-        known |= spec.name == p;
-      if (!known) {
-        std::fprintf(stderr, "armbar-fuzz: unknown platform '%s' (have:",
-                     p.c_str());
-        for (const auto& spec : armbar::sim::all_platforms())
-          std::fprintf(stderr, " %s", spec.name.c_str());
-        std::fprintf(stderr, ")\n");
+    for (const std::string& p : base.platforms)
+      if (!armbar::sim::known_platform(p, &err)) {
+        std::fprintf(stderr, "armbar-fuzz: --platforms: %s\n", err.c_str());
         return 2;
       }
-    }
   }
   if (args.given("skews")) {
     base.skews.clear();
-    for (const std::string& s : split_csv(args.str("skews")))
-      base.skews.push_back(
-          static_cast<std::uint32_t>(std::strtoul(s.c_str(), nullptr, 10)));
+    for (const std::string& s : split_csv(args.str("skews"))) {
+      std::int64_t skew = 0;
+      if (!armbar::runner::parse_int_option("skews", s, 0, UINT32_MAX, &skew,
+                                            &err)) {
+        std::fprintf(stderr, "armbar-fuzz: %s\n", err.c_str());
+        return 2;
+      }
+      base.skews.push_back(static_cast<std::uint32_t>(skew));
+    }
     if (base.skews.empty()) {
       std::fprintf(stderr, "armbar-fuzz: --skews list is empty\n");
       return 2;

@@ -13,92 +13,63 @@
 // Exit status: 0 everything verified clean, 1 at least one scenario
 // failed (bundles written), 2 usage error / unknown scenario.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "fuzz/bundle.hpp"
 #include "lockver/harness.hpp"
 #include "runner/arg_parser.hpp"
-
-namespace {
+#include "sim/platform.hpp"
 
 using namespace armbar;
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: armbar-lockver [options] [SCENARIO ...]\n"
-      "\n"
-      "Verify lock handoff scenarios (default: all six clean family/strength\n"
-      "variants) through the axiomatic checker + simulator cross-check.\n"
-      "Scenario names: {ticket,cna,ffwd}/{strong,weakened}[+BUG].\n"
-      "\n"
-      "  --plant BUG       plant a bug into every selected scenario:\n"
-      "                    drop-acquire | drop-release | downgrade-dmb\n"
-      "  --platform NAME   sim platform preset (repeatable; default: all)\n"
-      "  --chaos-seeds N   chaos fault plans per platform (default 2)\n"
-      "  --no-sim          model-only: skip the simulator cross-check\n"
-      "  --out DIR         directory for failure bundles (default '.')\n"
-      "  --quiet           only print per-scenario verdict lines\n",
-      to);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   lockver::VerifyOptions opts;
-  lockver::PlantedBug plant = lockver::PlantedBug::kNone;
-  std::string out_dir = ".";
-  bool quiet = false;
-  std::vector<std::string> names;
+  runner::ArgParser args(
+      "armbar-lockver",
+      "Verify lock handoff scenarios, given as SCENARIO arguments (default: "
+      "all six clean family/strength variants), through the axiomatic "
+      "checker + simulator cross-check. Scenario names: "
+      "{ticket,cna,ffwd}/{strong,weakened}[+BUG].");
+  args.add_value("plant", "BUG",
+                 "plant a bug into every selected scenario: drop-acquire | "
+                 "drop-release | downgrade-dmb");
+  args.add_value("platform", "NAME",
+                 "sim platform preset (repeatable; default: all)");
+  args.add_int("chaos-seeds", "N", "chaos fault plans per platform",
+               opts.chaos_seeds, 0, UINT32_MAX);
+  args.add_flag("no-sim", "model-only: skip the simulator cross-check");
+  args.add_value("out", "DIR", "directory for failure bundles", ".");
+  args.add_flag("quiet", "only print per-scenario verdict lines");
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "armbar-lockver: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto u32 = [&](const char* flag) -> std::uint32_t {
-      std::int64_t v = 0;
-      std::string err;
-      if (!runner::parse_int_option(flag + 2, value(flag), 0, UINT32_MAX, &v,
-                                    &err)) {
-        std::fprintf(stderr, "armbar-lockver: %s\n", err.c_str());
-        std::exit(2);
-      }
-      return static_cast<std::uint32_t>(v);
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      return 0;
-    } else if (arg == "--plant") {
-      if (!lockver::planted_from_string(value("--plant"), &plant) ||
-          plant == lockver::PlantedBug::kNone) {
-        std::fprintf(stderr, "armbar-lockver: unknown bug '%s'\n", argv[i]);
-        return 2;
-      }
-    } else if (arg == "--platform") {
-      opts.platforms.push_back(value("--platform"));
-    } else if (arg == "--chaos-seeds") {
-      opts.chaos_seeds = u32("--chaos-seeds");
-    } else if (arg == "--no-sim") {
-      opts.sim_crosscheck = false;
-    } else if (arg == "--out") {
-      out_dir = value("--out");
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "armbar-lockver: unknown option '%s'\n",
-                   arg.c_str());
-      usage(stderr);
-      return 2;
-    } else {
-      names.push_back(arg);
-    }
+  std::string err;
+  if (!args.parse(argc, argv, &err)) {
+    std::fprintf(stderr, "armbar-lockver: %s\n", err.c_str());
+    return 2;
   }
+  if (args.help_requested()) {
+    std::fputs(args.help().c_str(), stdout);
+    return 0;
+  }
+  lockver::PlantedBug plant = lockver::PlantedBug::kNone;
+  if (args.given("plant") &&
+      (!lockver::planted_from_string(args.str("plant"), &plant) ||
+       plant == lockver::PlantedBug::kNone)) {
+    std::fprintf(stderr, "armbar-lockver: --plant: unknown bug '%s'\n",
+                 args.str("plant").c_str());
+    return 2;
+  }
+  for (const std::string& p : args.values("platform"))
+    if (!sim::known_platform(p, &err)) {
+      std::fprintf(stderr, "armbar-lockver: --platform: %s\n", err.c_str());
+      return 2;
+    }
+  opts.platforms = args.values("platform");
+  opts.chaos_seeds = static_cast<std::uint32_t>(args.integer("chaos-seeds"));
+  opts.sim_crosscheck = !args.given("no-sim");
+  const std::string out_dir = args.str("out");
+  const bool quiet = args.given("quiet");
+  const std::vector<std::string>& names = args.positionals();
 
   std::vector<lockver::LockScenario> scenarios;
   if (names.empty()) {
@@ -141,7 +112,6 @@ int main(int argc, char** argv) {
     for (char c : sc.name) path += (c == '/' || c == '+') ? '_' : c;
     path += ".repro.json";
     const fuzz::ReproBundle b = lockver::make_lock_bundle(sc, opts, r);
-    std::string err;
     if (!fuzz::write_bundle(path, b, &err)) {
       std::fprintf(stderr, "%s: FAILED, and bundle write failed: %s\n",
                    sc.name.c_str(), err.c_str());

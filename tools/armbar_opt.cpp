@@ -21,8 +21,6 @@
 // means --plant-unsound was NOT caught: the oracle is not load-bearing.
 // Exit 2: usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,88 +31,59 @@
 #include "runner/arg_parser.hpp"
 #include "trace/json_report.hpp"
 
-namespace {
-
 using namespace armbar;
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: armbar-opt [options] [SHAPE ...]\n"
-      "\n"
-      "Optimize barrier placement with the axiomatic checker as the\n"
-      "equivalence oracle (default corpus: every Table-1 litmus shape).\n"
-      "\n"
-      "  --locks           add the strong lock handoff templates\n"
-      "                    (ticket/cna/ffwd) to the corpus\n"
-      "  --fuzz N          add fuzz-generated programs for seeds 1..N\n"
-      "  --seed S          add one fuzz seed (repeatable)\n"
-      "  --pass NAME       run only pass NAME (repeatable; default: all\n"
-      "                    registered passes: redundancy, downgrade)\n"
-      "  --naive           use the exhaustive enumerator as the oracle\n"
-      "  --json PATH       write an armbar.bench.report/v2 document with\n"
-      "                    the armbar.opt.report/v1 section\n"
-      "  --plant-unsound   planted-unsoundness self-test (see header)\n"
-      "  --quiet           only print per-program summary lines\n",
-      to);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  opt::OptOptions opts;
-  std::vector<std::string> shape_names;
-  std::string json_path;
-  std::uint32_t fuzz_n = 0;
-  std::vector<std::uint32_t> seeds;
-  bool locks = false, quiet = false, plant = false;
+  runner::ArgParser args(
+      "armbar-opt",
+      "Optimize barrier placement with the axiomatic checker as the "
+      "equivalence oracle. The corpus is the Table-1 litmus shapes named as "
+      "SHAPE arguments (default: every shape).");
+  args.add_flag("locks",
+                "add the strong lock handoff templates (ticket/cna/ffwd) to "
+                "the corpus");
+  args.add_int("fuzz", "N", "add fuzz-generated programs for seeds 1..N", 0,
+               0, UINT32_MAX);
+  args.add_value("seed", "S", "add one fuzz seed (repeatable)");
+  args.add_value("pass", "NAME",
+                 "run only pass NAME (repeatable; default: all registered "
+                 "passes: redundancy, downgrade)");
+  args.add_flag("naive", "use the exhaustive enumerator as the oracle");
+  args.add_value("json", "PATH",
+                 "write an armbar.bench.report/v2 document with the "
+                 "armbar.opt.report/v1 section");
+  args.add_flag("plant-unsound",
+                "self-test: force an illegal delete past the oracle; the "
+                "final verification must catch it (exit 1)");
+  args.add_flag("quiet", "only print per-program summary lines");
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "armbar-opt: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto u32 = [&](const char* flag) -> std::uint32_t {
-      std::int64_t v = 0;
-      std::string err;
-      if (!runner::parse_int_option(flag + 2, value(flag), 0, UINT32_MAX, &v,
-                                    &err)) {
-        std::fprintf(stderr, "armbar-opt: %s\n", err.c_str());
-        std::exit(2);
-      }
-      return static_cast<std::uint32_t>(v);
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      return 0;
-    } else if (arg == "--locks") {
-      locks = true;
-    } else if (arg == "--fuzz") {
-      fuzz_n = u32("--fuzz");
-    } else if (arg == "--seed") {
-      seeds.push_back(u32("--seed"));
-    } else if (arg == "--pass") {
-      opts.passes.push_back(value("--pass"));
-    } else if (arg == "--naive") {
-      opts.model.naive = true;
-    } else if (arg == "--json") {
-      json_path = value("--json");
-    } else if (arg == "--plant-unsound") {
-      plant = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "armbar-opt: unknown option '%s'\n", arg.c_str());
-      usage(stderr);
-      return 2;
-    } else {
-      shape_names.push_back(arg);
-    }
+  std::string err;
+  if (!args.parse(argc, argv, &err)) {
+    std::fprintf(stderr, "armbar-opt: %s\n", err.c_str());
+    return 2;
   }
+  if (args.help_requested()) {
+    std::fputs(args.help().c_str(), stdout);
+    return 0;
+  }
+  std::vector<std::uint32_t> seeds;
+  for (const std::string& text : args.values("seed")) {
+    std::int64_t seed = 0;
+    if (!runner::parse_int_option("seed", text, 0, UINT32_MAX, &seed, &err)) {
+      std::fprintf(stderr, "armbar-opt: %s\n", err.c_str());
+      return 2;
+    }
+    seeds.push_back(static_cast<std::uint32_t>(seed));
+  }
+  opt::OptOptions opts;
+  opts.passes = args.values("pass");
+  opts.model.naive = args.given("naive");
+  const bool plant = args.given("plant-unsound");
   if (plant) opts.plant = opt::OptOptions::Plant::kDeleteBypassingOracle;
+  const bool locks = args.given("locks"), quiet = args.given("quiet");
+  const auto fuzz_n = static_cast<std::uint32_t>(args.integer("fuzz"));
+  const std::string json_path = args.str("json");
+  const std::vector<std::string>& shape_names = args.positionals();
 
   // Assemble the corpus. Named shapes beat the default all-shapes sweep;
   // --locks / --fuzz / --seed extend whichever shape set is active.

@@ -20,23 +20,14 @@
 // false capture that no longer fails), 2 usage / unreadable bundle.
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "fuzz/bundle.hpp"
 #include "fuzz/diff.hpp"
 #include "lockver/harness.hpp"
+#include "runner/arg_parser.hpp"
 
 namespace {
-
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: armbar-repro [--quiet] BUNDLE.repro.json [...]\n"
-      "\n"
-      "Replay armbar.repro/v1 differential-failure bundles bit-exactly.\n"
-      "  --quiet   only print the per-bundle verdict lines\n",
-      to);
-}
 
 /// 0 reproduced, 1 diverged, 2 unreadable.
 int replay(const char* path, bool quiet) {
@@ -95,28 +86,28 @@ int replay(const char* path, bool quiet) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quiet = false;
-  int first = 1;
-  for (; first < argc && argv[first][0] == '-'; ++first) {
-    if (std::strcmp(argv[first], "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(argv[first], "--help") == 0 ||
-               std::strcmp(argv[first], "-h") == 0) {
-      usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "armbar-repro: unknown option '%s'\n", argv[first]);
-      usage(stderr);
-      return 2;
-    }
+  armbar::runner::ArgParser args(
+      "armbar-repro",
+      "Replay armbar.repro/v1 differential-failure bundles, given as "
+      "BUNDLE.repro.json arguments, bit-exactly.");
+  args.add_flag("quiet", "only print the per-bundle verdict lines");
+  std::string err;
+  if (!args.parse(argc, argv, &err)) {
+    std::fprintf(stderr, "armbar-repro: %s\n", err.c_str());
+    return 2;
   }
-  if (first >= argc) {
-    usage(stderr);
+  if (args.help_requested()) {
+    std::fputs(args.help().c_str(), stdout);
+    return 0;
+  }
+  if (args.positionals().empty()) {
+    std::fprintf(stderr, "armbar-repro: no BUNDLE.repro.json given (see "
+                         "--help)\n");
     return 2;
   }
   int worst = 0;
-  for (int i = first; i < argc; ++i) {
-    const int rc = replay(argv[i], quiet);
+  for (const std::string& path : args.positionals()) {
+    const int rc = replay(path.c_str(), args.given("quiet"));
     if (rc > worst) worst = rc;
   }
   return worst;

@@ -1,6 +1,6 @@
 // armbar-serve — the producer half of the shm channel service.
 //
-//   $ armbar-serve --kind rbp --channels 2 --records 1000000 \
+//   $ armbar-serve --kind rbp --channels 2 --records 1000000
 //                  --name-file /tmp/bus.name
 //
 // Creates the segment, runs one producer process per channel, and waits
