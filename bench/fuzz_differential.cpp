@@ -31,18 +31,6 @@ using bench::json_num;
 using runner::ExperimentContext;
 using runner::Fingerprint;
 
-namespace {
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
-
 ARMBAR_EXPERIMENT(fuzz_differential, "Fuzz",
                   "differential fuzzing: simulator vs axiomatic ARMv8 model") {
   constexpr std::uint64_t kSeedStart = 1;
@@ -125,7 +113,7 @@ ARMBAR_EXPERIMENT(fuzz_differential, "Fuzz",
     ++failing;
     const std::string path =
         "fuzz_differential-seed" + row.find("seed")->str() + ".repro.json";
-    if (write_text_file(path, row.find("bundle")->dump(1))) {
+    if (trace::write_file(path, row.find("bundle")->dump(1) + "\n")) {
       if (first_bundle_path.empty()) {
         first_bundle_path = path;
         ctx.note_repro_bundle(path);

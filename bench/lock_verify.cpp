@@ -47,14 +47,6 @@ void mix_verify(Fingerprint* key, const lockver::LockScenario& sc,
   for (const std::uint32_t skew : d.skews) key->mix(skew);
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace
 
 ARMBAR_EXPERIMENT(lock_verify, "Lock verify",
@@ -110,7 +102,7 @@ ARMBAR_EXPERIMENT(lock_verify, "Lock verify",
     ++failing;
     const std::string path =
         "lock_verify-" + sanitize(row.find("name")->str()) + ".repro.json";
-    if (write_text_file(path, row.find("bundle")->dump(1))) {
+    if (trace::write_file(path, row.find("bundle")->dump(1) + "\n")) {
       if (first_bundle.empty()) {
         first_bundle = path;
         ctx.note_repro_bundle(path);

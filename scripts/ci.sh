@@ -27,7 +27,9 @@
 #     4x its run on every preset;
 #   * a bit-identity gate: all 18 figure/table experiments' points digests,
 #     and cna_scaling's (the one simulated lock no figure covers), must
-#     match the pinned baseline exactly;
+#     match the pinned baseline exactly, and so must the per-experiment
+#     digests of the counters and histograms the same --json report
+#     carries;
 #   * a --profile smoke: the profiled report validates and carries
 #     host_prof, and every points digest is bit-identical to the
 #     unprofiled run (profiling never perturbs results);
@@ -54,7 +56,7 @@
 #   * a bounded differential-fuzz smoke (armbar-fuzz, fixed seeds, plus
 #     seeds 351 and 437, which once deadlocked a halted core) that
 #     must find zero model/simulator mismatches and emit a valid
-#     armbar.bench.report/v1 with campaign/model throughput metrics,
+#     armbar.bench.report/v2 with campaign/model throughput metrics,
 #     followed by a planted-bug stage: a dropped-fence mutation must be
 #     caught, minimized, bundled, and the bundle must replay bit-exactly
 #     through armbar-repro;
@@ -232,6 +234,11 @@ bad = sorted(k for k in base if got[k] != base[k])
 assert not bad, f"points digests diverged from the pinned baseline: {bad}"
 print(f"bit-identity OK ({len(base)} digests match the pinned baseline)")
 EOF
+# Points digests mix only keys and values, so the counters and histograms
+# the report carries (cached points' read back from their entries) have
+# their own pin.
+python3 scripts/metrics_digests.py "$SMOKE_DIR/all-points.report.json" \
+    bench/baselines/METRICS_DIGESTS.json
 
 echo "== --profile smoke (host_prof attached, digests unperturbed) =="
 "$BENCH" --filter "$GATE_FILTER" --jobs "$(nproc)" --cache-dir "$CACHE_DIR" \
@@ -360,7 +367,7 @@ echo "malformed-argument smoke OK (8 bad command lines, each exit 2)"
 
 echo "== fault-injected run (--fault-seed 7, schema gate) =="
 # Fault plans perturb timing inside the architectural envelope, so every
-# check still passes; the report must validate under the v1 schema with the
+# check still passes; the report must validate under the v2 schema with the
 # robustness fields present (per-experiment status, empty quarantine).
 "$BENCH" --filter 'table1*' --jobs "$(nproc)" --no-cache \
     --fault-seed 7 --verify-every 4096 \

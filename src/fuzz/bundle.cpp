@@ -424,18 +424,9 @@ bool bundle_from_json(const trace::Json& j, ReproBundle* out,
 
 bool write_bundle(const std::string& path, const ReproBundle& b,
                   std::string* err) {
-  std::ofstream f(path);
-  if (!f) {
-    *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << bundle_to_json(b).dump(2) << '\n';
-  f.close();
-  if (!f) {
-    *err = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  if (trace::write_file(path, bundle_to_json(b).dump(2) + "\n")) return true;
+  *err = "cannot write " + path;
+  return false;
 }
 
 bool load_bundle(const std::string& path, ReproBundle* out, std::string* err) {

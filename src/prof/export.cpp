@@ -1,6 +1,5 @@
 #include "prof/export.hpp"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -106,23 +105,12 @@ std::string chrome_trace_json(const Snapshot& s) {
   return doc.dump(1);
 }
 
-namespace {
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
-
 bool write_collapsed(const std::string& path, const Snapshot& s) {
-  return write_text(path, collapsed_stacks(s));
+  return trace::write_file(path, collapsed_stacks(s));
 }
 
 bool write_chrome(const std::string& path, const Snapshot& s) {
-  return write_text(path, chrome_trace_json(s) + "\n");
+  return trace::write_file(path, chrome_trace_json(s) + "\n");
 }
 
 }  // namespace armbar::prof

@@ -102,7 +102,6 @@ PerfDiff diff_reports(const trace::Json& base, const trace::Json& cur,
 
   const std::map<std::string, double> bs = phase_shares(base);
   const std::map<std::string, double> cs = phase_shares(cur);
-  bool phase_regressed = false;
   for (const auto& [name, share] : bs) {
     PhaseVerdict v;
     v.phase = name;
@@ -110,17 +109,10 @@ PerfDiff diff_reports(const trace::Json& base, const trace::Json& cur,
     if (auto it = cs.find(name); it != cs.end()) {
       v.cur_share_pct = it->second;
       v.drift_pp = v.cur_share_pct - v.base_share_pct;
-      // Shares are relative: when the dominant phases get faster, every
-      // other phase's share inflates without its absolute cost moving. A
-      // phase still below the floor is noise, not a regression.
-      v.verdict = v.drift_pp > opts.phase_drift_pp &&
-                          v.cur_share_pct >= opts.min_phase_share_pct
-                      ? "regressed"
-                      : "ok";
+      v.verdict = v.drift_pp > kPhaseDriftPp ? "regressed" : "ok";
     } else {
       v.verdict = "gone";
     }
-    phase_regressed = phase_regressed || v.verdict == "regressed";
     d.phases.push_back(std::move(v));
   }
   for (const auto& [name, share] : cs) {
@@ -170,8 +162,7 @@ PerfDiff diff_reports(const trace::Json& base, const trace::Json& cur,
     }
   }
 
-  d.ok = d.rel_ratio >= opts.min_rel_ratio && presets_ok &&
-         (!opts.gate_phases || !phase_regressed);
+  d.ok = d.rel_ratio >= opts.min_rel_ratio && presets_ok;
   return d;
 }
 
@@ -192,7 +183,11 @@ std::string render(const PerfDiff& d, const PerfDiffOptions& opts) {
                 "ratio %.2fx  [gate >= %.2fx]\n",
                 d.base_rel, d.cur_rel, d.rel_ratio, opts.min_rel_ratio);
   out += buf;
-  out += "\nphase            base%   cur%   drift   verdict\n";
+  std::snprintf(buf, sizeof(buf),
+                "\nphase            base%%   cur%%   drift   verdict "
+                "(advisory: regressed = drift > %.0fpp)\n",
+                kPhaseDriftPp);
+  out += buf;
   for (const PhaseVerdict& v : d.phases) {
     std::snprintf(buf, sizeof(buf), "%-16s %5.1f  %5.1f  %+6.1f   %s\n",
                   v.phase.c_str(), v.base_share_pct, v.cur_share_pct,

@@ -8,8 +8,8 @@
 // current. Host CPU speed cancels out of that ratio, so a committed
 // baseline from one machine meaningfully gates a CI run on another.
 // Per-phase time *shares* (self_ns / total self) are likewise
-// machine-relative; drifts beyond a threshold are reported, advisory by
-// default.
+// machine-relative; drifts beyond kPhaseDriftPp are reported, as advisory
+// output that never fails the gate.
 #pragma once
 
 #include <string>
@@ -19,22 +19,18 @@
 
 namespace armbar::prof {
 
+/// A phase whose share of total self time grew by more than this many
+/// percentage points gets a "regressed" verdict. A drift never exceeds the
+/// phase's current share, so a phase under this share never regresses:
+/// when the hot path shrinks, a negligible phase's share can multiply
+/// while its absolute cost is still noise.
+inline constexpr double kPhaseDriftPp = 15.0;
+
 struct PerfDiffOptions {
   /// Gate: current ips_vs_null must be >= this fraction of the baseline's.
   /// 0.5 tolerates host noise and moderate churn while still catching a
   /// 2x interpreter regression.
   double min_rel_ratio = 0.5;
-  /// A phase whose share of total self time grew by more than this many
-  /// percentage points gets a "regressed" verdict (advisory unless
-  /// gate_phases).
-  double phase_drift_pp = 15.0;
-  /// Floor below which a phase's drift never "regresses": when the hot
-  /// path shrinks dramatically (ISSUE 7), previously-negligible phases can
-  /// multiply their *share* while their absolute cost is still noise. A
-  /// phase whose current share is under this many percent of total self
-  /// time stays "ok" regardless of drift.
-  double min_phase_share_pct = 2.0;
-  bool gate_phases = false;
   /// When > 0, every per-preset "<preset>_{mp,deep}_ips" metric present in
   /// the baseline is normalized by its report's null-loop throughput and
   /// the current/baseline ratio must reach this value (machine-independent,

@@ -1,5 +1,8 @@
 #include "runner/cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,12 +14,34 @@ namespace armbar::runner {
 
 namespace {
 
-/// Parse an entry's metrics text into *out; false when absent or malformed.
-bool decode_metrics(const std::string& text, trace::MetricsRegistry* out) {
-  if (text.empty()) return false;
+/// Read and parse the entry at `path` once. Nullopt when it is absent
+/// (*missing set), corrupt, of another schema or epoch, or lacks the
+/// metrics a non-null `metrics` asks for; on a hit *metrics holds them.
+std::optional<trace::Json> read_entry(const std::string& path,
+                                      trace::MetricsRegistry* metrics,
+                                      bool* missing) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    *missing = true;
+    return std::nullopt;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
   std::string err;
-  const trace::Json j = trace::Json::parse(text, &err);
-  return err.empty() && trace::MetricsRegistry::from_json(j, out);
+  trace::Json doc = trace::Json::parse(buf.str(), &err);
+  const trace::Json* schema = doc.find("schema");
+  const trace::Json* epoch = doc.find("epoch");
+  trace::Json* value = doc.find_mut("value");
+  if (!err.empty() || schema == nullptr || !schema->is_string() ||
+      schema->str() != kCacheEntrySchema || epoch == nullptr ||
+      !epoch->is_string() || epoch->str() != kCacheEpoch || value == nullptr)
+    return std::nullopt;
+  if (metrics != nullptr) {
+    const trace::Json* m = doc.find("metrics");
+    if (m == nullptr || !trace::MetricsRegistry::from_json(*m, metrics))
+      return std::nullopt;
+  }
+  return std::move(*value);
 }
 
 }  // namespace
@@ -34,53 +59,20 @@ std::string ResultCache::path_of(const std::string& key_hex) const {
   return dir_ + "/" + key_hex + ".json";
 }
 
-std::optional<ResultCache::Entry> ResultCache::read_entry(
-    const std::string& path, bool* missing) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    *missing = true;
-    return std::nullopt;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string err;
-  trace::Json doc = trace::Json::parse(buf.str(), &err);
-  const trace::Json* schema = doc.find("schema");
-  const trace::Json* epoch = doc.find("epoch");
-  trace::Json* value = doc.find_mut("value");
-  if (!err.empty() || schema == nullptr || !schema->is_string() ||
-      schema->str() != kCacheEntrySchema || epoch == nullptr ||
-      !epoch->is_string() || epoch->str() != kCacheEpoch || value == nullptr)
-    return std::nullopt;
-  Entry e;
-  e.value = std::move(*value);
-  if (const trace::Json* metrics = doc.find("metrics"))
-    e.metrics = metrics->dump();
-  return e;
-}
-
 std::optional<trace::Json> ResultCache::lookup(const std::string& key_hex,
                                                trace::MetricsRegistry* metrics) {
   if (!enabled()) return std::nullopt;
   // A fully cached run spends its time here; without this phase its
   // --profile report would have counters but no phase to explain them.
   ARMBAR_PROF_SCOPE(kCacheLookup);
-  std::optional<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = mem_.find(key_hex); it != mem_.end()) entry = it->second;
-  }
-  const bool in_memory = entry.has_value();
   bool missing = false;
   // Read and parse outside the lock, so concurrent workers' lookups overlap
   // instead of queueing behind each other's file I/O.
-  if (!in_memory) entry = read_entry(path_of(key_hex), &missing);
-  const bool usable =
-      entry.has_value() &&
-      (metrics == nullptr || decode_metrics(entry->metrics, metrics));
+  std::optional<trace::Json> value =
+      read_entry(path_of(key_hex), metrics, &missing);
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (!usable) {
+  if (!value.has_value()) {
     // Absent, or a corrupt or stale entry (counted as an eviction); the
     // fresh result will overwrite it.
     ++stats_.misses;
@@ -91,11 +83,9 @@ std::optional<trace::Json> ResultCache::lookup(const std::string& key_hex,
     }
     return std::nullopt;
   }
-  // Another worker may have read the same entry meanwhile; keep the first.
-  if (!in_memory) mem_.try_emplace(key_hex, *entry);
   ++stats_.hits;
   ARMBAR_PROF_COUNT(kCacheHits, 1);
-  return std::move(entry->value);
+  return value;
 }
 
 void ResultCache::store(const std::string& key_hex, const std::string& desc,
@@ -108,20 +98,20 @@ void ResultCache::store(const std::string& key_hex, const std::string& desc,
   doc.set("key", key_hex);
   doc.set("desc", desc);
   doc.set("value", value);
-  Entry e{value, ""};
-  if (metrics != nullptr) {
-    trace::Json m = metrics->to_json();
-    e.metrics = m.dump();
-    doc.set("metrics", std::move(m));
-  }
+  if (metrics != nullptr) doc.set("metrics", metrics->to_json());
   const std::string text = doc.dump(1) + "\n";
-
-  std::lock_guard<std::mutex> lock(mu_);
-  mem_[key_hex] = std::move(e);
-  ++stats_.stores;
-  ARMBAR_PROF_COUNT(kCacheStores, 1);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.stores;
+    ARMBAR_PROF_COUNT(kCacheStores, 1);
+  }
+  // Written outside the lock: two workers (or two processes sharing the
+  // directory) storing one key each write their own temp file, and the
+  // last rename wins with a whole entry.
+  static std::atomic<std::uint64_t> next_tmp{0};
   const std::string path = path_of(key_hex);
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp++);
   if (std::FILE* f = std::fopen(tmp.c_str(), "wb")) {
     const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
     std::fclose(f);

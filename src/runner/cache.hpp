@@ -3,9 +3,9 @@
 // Each independent sweep point is deterministic: (platform fingerprint,
 // program hash, run config) fully determines the result. The cache maps
 // that 128-bit key to the result's JSON value, one file per entry under
-// `.armbar-cache/` (schema armbar.cache.entry/v2):
+// `.armbar-cache/` (schema armbar.cache.entry/v3):
 //
-//   { "schema":  "armbar.cache.entry/v2",
+//   { "schema":  "armbar.cache.entry/v3",
 //     "epoch":   "<kCacheEpoch>",
 //     "key":     "<32 hex chars>",
 //     "desc":    "pair platform=kunpeng916 prog=store-store/DMB full ...",
@@ -22,14 +22,14 @@
 // timing model itself changes behaviour (the Latencies static_assert in
 // fingerprint.cpp points here when the latency table grows).
 //
-// Thread-safe: workers of the experiment pool hit it concurrently. An
-// in-memory map fronts the directory; lookups read and parse entry files
-// outside the lock, and writes go through a temp file + rename so a crashed
-// run never leaves a torn entry behind.
+// Thread-safe: workers of the experiment pool hit it concurrently. The
+// directory is the only store: a lookup reads and parses its entry file
+// once, a store writes it once through a temp file private to the writer
+// and a rename, so a crashed run never leaves a torn entry behind. Only
+// the counters take the lock.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -39,9 +39,10 @@
 
 namespace armbar::runner {
 
-/// v2 added the optional "metrics" member; a v1 entry is stale (an
-/// eviction) and gets recomputed.
-inline constexpr const char* kCacheEntrySchema = "armbar.cache.entry/v2";
+/// v2 added the optional "metrics" member and v3 made it one machine-wide
+/// record per run (v2 kept it per core). An entry of an older schema is
+/// stale (an eviction) and gets recomputed.
+inline constexpr const char* kCacheEntrySchema = "armbar.cache.entry/v3";
 
 /// Bump when the behaviour baked into cached values changes — the
 /// simulator's timing model (new latency fields, scheduler fixes, ...),
@@ -97,19 +98,8 @@ class ResultCache {
  private:
   std::string path_of(const std::string& key_hex) const;
 
-  struct Entry {
-    trace::Json value;
-    /// Compact MetricsRegistry::to_json text, empty when absent. Text, not
-    /// a parsed DOM: ~0.7 KB a point instead of ~9 KB, which a cold sweep
-    /// holding every entry in memory would otherwise pay.
-    std::string metrics;
-  };
-  static std::optional<Entry> read_entry(const std::string& path,
-                                         bool* missing);
-
   std::string dir_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> mem_;
   Stats stats_;
 };
 

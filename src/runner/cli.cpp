@@ -10,17 +10,6 @@
 #include "sim/fault/fault.hpp"
 
 namespace armbar::runner {
-namespace {
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
-
 int cli_main(int argc, char** argv) {
   const std::string prog = "armbar-bench";
   ArgParser args(prog,
@@ -139,7 +128,7 @@ int cli_main(int argc, char** argv) {
       path = (bench != nullptr && bench->is_string() ? bench->str() : prog) +
              ".report.json";
     }
-    io_ok = write_text(path, result.report.dump(1) + "\n");
+    io_ok = trace::write_file(path, result.report.dump(1) + "\n");
     if (io_ok)
       std::printf("\nreport: %s\n", path.c_str());
     else

@@ -392,18 +392,7 @@ EngineResult Engine::run() {
     report.add_metric(kp + "sim_points", static_cast<double>(out.points));
     report.add_metric(kp + "cache_point_hits",
                       static_cast<double>(out.cache_hits));
-    if (report_metrics) {
-      if (single) {
-        report.add_registry(*metrics);
-      } else {
-        for (const auto& name : metrics->histogram_names())
-          report.add_histogram(kp + name,
-                               trace::summarize(metrics->histogram(name)));
-        for (const auto& name : metrics->counter_names())
-          report.add_metric(kp + name,
-                            static_cast<double>(metrics->counter(name)));
-      }
-    }
+    if (report_metrics) report.add_registry(*metrics, kp);
 
     if (opts_.trace && tracer != nullptr) {
       std::string path;

@@ -87,7 +87,7 @@ struct EngineResult {
   bool interrupted = false;       ///< SIGINT/SIGTERM observed; partial report
   int signal = 0;                 ///< the interrupting signal number (0 = none)
   std::vector<ExperimentOutcome> outcomes;
-  trace::Json report;             ///< consolidated armbar.bench.report/v1
+  trace::Json report;             ///< consolidated armbar.bench.report/v2
   ResultCache::Stats cache_stats;
   std::size_t jobs = 1;           ///< effective job count used
 };

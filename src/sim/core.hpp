@@ -135,7 +135,7 @@ class Core {
   friend class MachineVerifier;
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
-  void set_histograms(CoreHistograms* h) { hist_ = h; }
+  void set_histograms(RunHistograms* h) { hist_ = h; }
   /// First cycle the run loop will not reach (max_cycles + 1): a NOP run
   /// never retires past it.
   void set_run_end(Cycle end) { run_end_ = end; }
@@ -296,7 +296,7 @@ class Core {
 
   trace::Tracer* tracer_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
-  CoreHistograms* hist_ = nullptr;  ///< non-null only while recording metrics
+  RunHistograms* hist_ = nullptr;  ///< non-null only while recording metrics
   CoreStats stats_;
   std::uint64_t pumps_ = 0;  ///< pumps step() ran (profiler: sim.pumps)
 };

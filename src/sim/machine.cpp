@@ -11,25 +11,27 @@
 namespace armbar::sim {
 namespace {
 
-/// Fold one core's finished run into `reg`: its CoreStats as counters and
+/// Fold a finished run into `reg`: its cores' CoreStats as counters and
 /// the histograms its hook sites fed. Zero counters and empty histograms
 /// record nothing, so the registry holds only what the run exercised.
-void record_core(trace::MetricsRegistry& reg, CoreId c, const CoreStats& s,
-                 const CoreHistograms& h) {
+void record_run(trace::MetricsRegistry& reg, const std::vector<CoreStats>& cores,
+                const RunHistograms& h) {
   namespace metric = trace::metric;
-  reg.inc(metric::kInstrs, c, s.instructions);
-  reg.inc(metric::kBarriers, c, s.barriers);
-  reg.inc(metric::kSquashes, c, s.squashes);
-  for (int k = 0; k < static_cast<int>(StallCause::kCount); ++k)
-    if (s.stall_cycles[k] != 0)
-      reg.inc(std::string(metric::kStallPrefix) +
-                  to_string(static_cast<StallCause>(k)),
-              c, s.stall_cycles[k]);
-  reg.merge(metric::kBarrierComplete, c, h.barrier_complete);
-  reg.merge(metric::kBarrierTxn, c, h.barrier_txn);
-  reg.merge(metric::kSbResidency, c, h.sb_residency);
-  reg.merge(metric::kCohTransfer, c, h.coh_transfer);
-  reg.merge(metric::kRemoteInv, c, h.remote_inv);
+  for (const CoreStats& s : cores) {
+    reg.inc(metric::kInstrs, s.instructions);
+    reg.inc(metric::kBarriers, s.barriers);
+    reg.inc(metric::kSquashes, s.squashes);
+    for (int k = 0; k < static_cast<int>(StallCause::kCount); ++k)
+      if (s.stall_cycles[k] != 0)
+        reg.inc(std::string(metric::kStallPrefix) +
+                    to_string(static_cast<StallCause>(k)),
+                s.stall_cycles[k]);
+  }
+  reg.merge(metric::kBarrierComplete, h.barrier_complete);
+  reg.merge(metric::kBarrierTxn, h.barrier_txn);
+  reg.merge(metric::kSbResidency, h.sb_residency);
+  reg.merge(metric::kCohTransfer, h.coh_transfer);
+  reg.merge(metric::kRemoteInv, h.remote_inv);
 }
 
 }  // namespace
@@ -130,17 +132,13 @@ RunResult Machine::run(const RunConfig& cfg) {
       cores_[c]->set_run_end(run_end);
     }
 
-  // Metrics: histograms for live cores only, so a two-core run on the
-  // 64-core preset allocates two sets. Counters need no hook at all: they
-  // are CoreStats, folded in after the loop.
+  // Metrics: one histogram set for the whole run, fed by every live core
+  // and the memory system. Counters need no hook at all: they are
+  // CoreStats, folded in after the loop.
   if (cfg.metrics != nullptr) {
-    hists_.resize(live.size());
-    std::vector<CoreHistograms*> by_core(num_cores(), nullptr);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      by_core[live[i]] = &hists_[i];
-      cores_[live[i]]->set_histograms(&hists_[i]);
-    }
-    mem_->set_histograms(std::move(by_core));
+    hist_ = std::make_unique<RunHistograms>();
+    for (const CoreId c : live) cores_[c]->set_histograms(hist_.get());
+    mem_->set_histograms(hist_.get());
   }
 
   const Cycle verify_every =
@@ -246,9 +244,7 @@ RunResult Machine::run(const RunConfig& cfg) {
   }
   res.cycles = res.completed ? end : max_cycles;
   res.mem = mem_->stats();
-  if (cfg.metrics != nullptr)
-    for (std::size_t i = 0; i < live.size(); ++i)
-      record_core(*cfg.metrics, live[i], cores_[live[i]]->stats(), hists_[i]);
+  if (cfg.metrics != nullptr) record_run(*cfg.metrics, res.cores, *hist_);
   if (prof::enabled()) {
     std::uint64_t instrs = 0;
     for (const CoreStats& s : res.cores) instrs += s.instructions;

@@ -135,9 +135,9 @@ class Machine {
   Cycle sweep_at_ = 0;
   std::uint64_t woken_ = 0;
   std::unique_ptr<fault::FaultEngine> fault_engine_;
-  /// One per program-bearing core, allocated by run() only when it records
-  /// metrics; the cores and the memory system hold pointers into it.
-  std::vector<CoreHistograms> hists_;
+  /// Allocated by run() only when it records metrics; every live core and
+  /// the memory system hold a pointer to it.
+  std::unique_ptr<RunHistograms> hist_;
   trace::Tracer* tracer_ = nullptr;  ///< last attached (diagnostic ring tail)
   bool ran_ = false;
 };

@@ -108,12 +108,9 @@ void MemorySystem::notify_holders(const LineState& ls, Addr line, CoreId except,
   if (ARMBAR_FAULT_HIT(fault_, duplicate_invalidate(except))) deliver();
 }
 
-void MemorySystem::record_transfer(CoreId core, trace::CohKind kind,
-                                   Cycle cycles) {
-  CoreHistograms* h = hist_[core];
-  if (h == nullptr) return;
-  h->coh_transfer.add(cycles);
-  if (kind == trace::CohKind::kGetMRemote) h->remote_inv.add(cycles);
+void MemorySystem::record_transfer(trace::CohKind kind, Cycle cycles) {
+  hist_->coh_transfer.add(cycles);
+  if (kind == trace::CohKind::kGetMRemote) hist_->remote_inv.add(cycles);
 }
 
 Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_out,
@@ -217,7 +214,7 @@ Cycle MemorySystem::load(CoreId core, Addr a, Cycle now, std::uint64_t& value_ou
   ARMBAR_TRACE(tracer_, coh_transfer(core, line, coh_kind, start, done));
   ARMBAR_TRACE(tracer_, line_transition(core, line, from_code,
                                         trace::LineCode::kShared, done));
-  if (!hist_.empty()) record_transfer(core, coh_kind, done - start);
+  if (hist_ != nullptr) record_transfer(coh_kind, done - start);
   // Read transfers pipeline: the line's service port frees after the
   // occupancy window even though this requester waits the full latency.
   ls.busy_until = start + std::min<Cycle>(latency, spec_.lat.read_occupancy);
@@ -326,7 +323,7 @@ Cycle MemorySystem::store(CoreId core, Addr a, std::uint64_t v, Cycle now,
     ARMBAR_TRACE(tracer_, coh_transfer(core, line, coh_kind, start, done));
     ARMBAR_TRACE(tracer_, line_transition(core, line, from_code,
                                           trace::LineCode::kOwned, done));
-    if (!hist_.empty()) record_transfer(core, coh_kind, done - start);
+    if (hist_ != nullptr) record_transfer(coh_kind, done - start);
   }
   // Victims learn about the invalidation now but it lands at `done`;
   // until then their stale S copies keep satisfying loads.

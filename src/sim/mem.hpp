@@ -77,12 +77,12 @@ struct MemStats {
   std::uint64_t hits = 0;          ///< requests satisfied without a transfer
 };
 
-/// The latency histograms one core feeds while its run records metrics
-/// (RunConfig::metrics). Machine::run allocates one per program-bearing core
-/// and folds them into the registry under the trace::metric names once the
-/// run ends; the Core feeds the barrier and store-buffer ones, the
-/// MemorySystem the coherence ones.
-struct CoreHistograms {
+/// The latency histograms a run feeds while it records metrics
+/// (RunConfig::metrics). Machine::run allocates one set per run, shared by
+/// every live core and the memory system, and folds it into the registry
+/// under the trace::metric names once the run ends; the Cores feed the
+/// barrier and store-buffer ones, the MemorySystem the coherence ones.
+struct RunHistograms {
   trace::Histogram barrier_complete;  ///< blocking barrier / ISB block span
   trace::Histogram barrier_txn;       ///< ACE barrier transaction round trip
   trace::Histogram sb_residency;      ///< store-buffer enqueue to retire
@@ -173,11 +173,8 @@ class MemorySystem {
   friend class MachineVerifier;
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
-  /// Indexed by core id; null for cores without a program.
-  void set_histograms(std::vector<CoreHistograms*> by_core) {
-    hist_ = std::move(by_core);
-  }
-  void record_transfer(CoreId core, trace::CohKind kind, Cycle cycles);
+  void set_histograms(RunHistograms* h) { hist_ = h; }
+  void record_transfer(trace::CohKind kind, Cycle cycles);
 
   static constexpr std::size_t kPageBytes = 4096;
   /// One page of backing store: its words and its lines' coherence state.
@@ -205,7 +202,7 @@ class MemorySystem {
   InvalidateHook inv_hook_;
   trace::Tracer* tracer_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
-  std::vector<CoreHistograms*> hist_;  ///< empty unless recording metrics
+  RunHistograms* hist_ = nullptr;  ///< non-null only while recording metrics
   MemStats stats_;
 
   static constexpr std::size_t kHomeGranule = 4096;  ///< home map granularity

@@ -181,12 +181,8 @@ Json to_chrome_trace(const Tracer& tracer, ChromeTraceOptions opts) {
 
 bool write_chrome_trace(const std::string& path, const Tracer& tracer,
                         ChromeTraceOptions opts) {
-  const std::string text = to_chrome_trace(tracer, std::move(opts)).dump(1);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = n == text.size() && std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
+  return write_file(path,
+                    to_chrome_trace(tracer, std::move(opts)).dump(1) + "\n");
 }
 
 }  // namespace armbar::trace

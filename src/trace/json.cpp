@@ -290,4 +290,11 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
+bool write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace armbar::trace

@@ -82,4 +82,9 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
+/// Write `text` to `path` byte for byte, creating or truncating it: the one
+/// writer behind every report, trace, profile and bundle file. False when
+/// the file cannot be opened, written or closed.
+bool write_file(const std::string& path, const std::string& text);
+
 }  // namespace armbar::trace

@@ -1,7 +1,5 @@
 #include "trace/json_report.hpp"
 
-#include <cstdio>
-
 namespace armbar::trace {
 
 ReportBuilder::ReportBuilder(std::string bench_id, std::string title)
@@ -63,11 +61,12 @@ void ReportBuilder::add_quarantine(const std::string& name,
   ok_ = false;
 }
 
-void ReportBuilder::add_registry(const MetricsRegistry& reg) {
+void ReportBuilder::add_registry(const MetricsRegistry& reg,
+                                 const std::string& prefix) {
   for (const auto& name : reg.counter_names())
-    add_metric(name, static_cast<double>(reg.counter(name)));
+    add_metric(prefix + name, static_cast<double>(reg.counter(name)));
   for (const auto& name : reg.histogram_names())
-    add_histogram(name, summarize(reg.histogram(name)));
+    add_histogram(prefix + name, summarize(reg.histogram(name)));
 }
 
 Json ReportBuilder::build() const {
@@ -87,12 +86,7 @@ Json ReportBuilder::build() const {
 }
 
 bool ReportBuilder::write(const std::string& path) const {
-  const std::string text = str();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = n == text.size() && std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, str() + "\n");
 }
 
 namespace {
@@ -276,7 +270,7 @@ bool validate_bench_report(const Json& doc, std::string* err) {
   const Json* schema = doc.find("schema");
   if (!schema || !schema->is_string())
     return violation(err, "missing string field 'schema'");
-  if (schema->str() != kReportSchema && schema->str() != kReportSchemaV1)
+  if (schema->str() != kReportSchema)
     return violation(err, "unknown schema '" + schema->str() + "'");
 
   for (const char* field : {"bench", "title"}) {

@@ -2,8 +2,7 @@
 // table* bench emits under --json, suitable for trajectory tracking
 // (BENCH_*.json) and CI schema checks.
 //
-// Schema (armbar.bench.report/v2; v1 documents still validate — v2 only
-// adds the optional "host_prof" section):
+// Schema (armbar.bench.report/v2):
 //   {
 //     "schema":  "armbar.bench.report/v2",
 //     "bench":   "<binary id, e.g. fig3_store_store>",
@@ -23,11 +22,11 @@
 //        "repro_bundle": "path/to/x.repro.json"}, // optional: replay with
 //       ...                                       //   tools/armbar-repro
 //     ],
-//     "host_prof": { ... },                  // optional (v2): host-side
+//     "host_prof": { ... },                  // optional: host-side
 //                                            //   profile, armbar.host_prof/v1
 //                                            //   (see src/prof/export.hpp);
 //                                            //   excluded from all digests
-//     "opt_report": { ... }                  // optional (v2): barrier-
+//     "opt_report": { ... }                  // optional: barrier-
 //   }                                        //   optimization decisions,
 //                                            //   armbar.opt.report/v1
 //                                            //   (see src/opt/driver.hpp)
@@ -41,9 +40,6 @@
 namespace armbar::trace {
 
 inline constexpr const char* kReportSchema = "armbar.bench.report/v2";
-/// Prior schema revision; validate_bench_report accepts both (v2 is a
-/// strict superset: it only adds the optional "host_prof" section).
-inline constexpr const char* kReportSchemaV1 = "armbar.bench.report/v1";
 
 class ReportBuilder {
  public:
@@ -68,9 +64,9 @@ class ReportBuilder {
                       const Json& diagnostic = Json(),
                       const std::string& repro_bundle = "",
                       const Json& extra = Json());
-  /// Pull every histogram (machine-wide merge) and counter out of a
-  /// registry. Counters land in metrics as "<name>".
-  void add_registry(const MetricsRegistry& reg);
+  /// Pull every counter and histogram out of a registry, under
+  /// "<prefix><name>": counters into metrics, histograms summarized.
+  void add_registry(const MetricsRegistry& reg, const std::string& prefix);
   /// Attach an armbar.host_prof/v1 section (prof::host_prof_json). Host
   /// timing is report-only: it never participates in points digests or
   /// cache keys. A null value removes the section.
@@ -100,7 +96,7 @@ class ReportBuilder {
 
 inline constexpr const char* kOptReportSchema = "armbar.opt.report/v1";
 
-/// Validate a parsed document against armbar.bench.report/v2 (or v1). On
+/// Validate a parsed document against armbar.bench.report/v2. On
 /// failure returns false and describes the first violation in *err.
 /// Beyond the structural checks, rejects reports where host profiling
 /// contaminated digest material: a "prof_digest_leak" param set to "true"

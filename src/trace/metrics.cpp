@@ -70,18 +70,17 @@ bool u64_of(const Json& j, std::uint64_t* out) {
   return true;
 }
 
-/// Object key holding a canonical decimal index below `limit` (a core id
-/// or a bucket number).
-bool index_of(const std::string& key, std::uint64_t limit, std::uint64_t* out) {
-  return parse_u64(key, out) && *out < limit && std::to_string(*out) == key;
+/// Object key holding a canonical decimal bucket number.
+bool bucket_index_of(const std::string& key, std::uint64_t* out) {
+  return parse_u64(key, out) && *out < Histogram::kBuckets &&
+         std::to_string(*out) == key;
 }
 
-/// The per-core map of `name`, created empty on first use.
-template <typename PerCore>
-PerCore& entry(std::map<std::string, PerCore, std::less<>>& m,
-               std::string_view name) {
+/// The entry of `name`, created empty on first use.
+template <typename T>
+T& entry(std::map<std::string, T, std::less<>>& m, std::string_view name) {
   auto it = m.find(name);
-  if (it == m.end()) it = m.emplace(std::string(name), PerCore{}).first;
+  if (it == m.end()) it = m.emplace(std::string(name), T{}).first;
   return it->second;
 }
 
@@ -112,7 +111,7 @@ bool Histogram::from_json(const Json& j, Histogram* out) {
   for (const auto& [key, n] : buckets->members()) {
     std::uint64_t i = 0;
     std::uint64_t count = 0;
-    if (!index_of(key, kBuckets, &i) || !u64_of(n, &count) || count == 0 ||
+    if (!bucket_index_of(key, &i) || !u64_of(n, &count) || count == 0 ||
         h.buckets_[i] != 0)
       return false;
     h.buckets_[i] = count;
@@ -123,47 +122,24 @@ bool Histogram::from_json(const Json& j, Histogram* out) {
   return true;
 }
 
-void MetricsRegistry::inc(std::string_view name, CoreId core, std::uint64_t delta) {
-  if (delta != 0) entry(counters_, name)[core] += delta;
+void MetricsRegistry::inc(std::string_view name, std::uint64_t delta) {
+  if (delta != 0) entry(counters_, name) += delta;
 }
 
-void MetricsRegistry::observe(std::string_view name, CoreId core, std::uint64_t value) {
-  entry(histograms_, name)[core].add(value);
-}
-
-void MetricsRegistry::merge(std::string_view name, CoreId core, const Histogram& h) {
-  if (h.count() != 0) entry(histograms_, name)[core].merge(h);
+void MetricsRegistry::merge(std::string_view name, const Histogram& h) {
+  if (h.count() != 0) entry(histograms_, name).merge(h);
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   auto it = counters_.find(name);
-  if (it == counters_.end()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& [core, v] : it->second) total += v;
-  return total;
-}
-
-std::uint64_t MetricsRegistry::counter(std::string_view name, CoreId core) const {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) return 0;
-  auto c = it->second.find(core);
-  return c == it->second.end() ? 0 : c->second;
+  return it == counters_.end() ? 0 : it->second;
 }
 
 Histogram MetricsRegistry::histogram(std::string_view name) const {
-  Histogram total;
   auto it = histograms_.find(name);
-  if (it == histograms_.end()) return total;
-  for (const auto& [core, h] : it->second) total.merge(h);
-  return total;
+  return it == histograms_.end() ? Histogram{} : it->second;
 }
 
-const Histogram* MetricsRegistry::histogram(std::string_view name, CoreId core) const {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) return nullptr;
-  auto c = it->second.find(core);
-  return c == it->second.end() ? nullptr : &c->second;
-}
 std::vector<std::string> MetricsRegistry::counter_names() const {
   std::vector<std::string> out;
   out.reserve(counters_.size());
@@ -184,27 +160,15 @@ void MetricsRegistry::clear() {
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, per_core] : other.counters_)
-    for (const auto& [core, v] : per_core) counters_[name][core] += v;
-  for (const auto& [name, per_core] : other.histograms_)
-    for (const auto& [core, h] : per_core) histograms_[name][core].merge(h);
+  for (const auto& [name, v] : other.counters_) counters_[name] += v;
+  for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
 }
 
 Json MetricsRegistry::to_json() const {
   Json counters = Json::object();
-  for (const auto& [name, per_core] : counters_) {
-    Json cores = Json::object();
-    for (const auto& [core, v] : per_core)
-      cores.set(std::to_string(core), u64_json(v));
-    counters.set(name, std::move(cores));
-  }
+  for (const auto& [name, v] : counters_) counters.set(name, u64_json(v));
   Json histograms = Json::object();
-  for (const auto& [name, per_core] : histograms_) {
-    Json cores = Json::object();
-    for (const auto& [core, h] : per_core)
-      cores.set(std::to_string(core), h.to_json());
-    histograms.set(name, std::move(cores));
-  }
+  for (const auto& [name, h] : histograms_) histograms.set(name, h.to_json());
   Json j = Json::object();
   j.set("counters", std::move(counters));
   j.set("histograms", std::move(histograms));
@@ -217,31 +181,16 @@ bool MetricsRegistry::from_json(const Json& j, MetricsRegistry* out) {
   if (counters == nullptr || !counters->is_object() || histograms == nullptr ||
       !histograms->is_object())
     return false;
-  constexpr std::uint64_t kCoreLimit = 1ULL << 32;
   MetricsRegistry reg;
-  for (const auto& [name, cores] : counters->members()) {
-    if (!cores.is_object() || cores.size() == 0 || reg.counters_.count(name))
-      return false;
-    auto& dst = reg.counters_[name];
-    for (const auto& [key, n] : cores.members()) {
-      std::uint64_t core = 0;
-      std::uint64_t v = 0;
-      if (!index_of(key, kCoreLimit, &core) || !u64_of(n, &v) || v == 0 ||
-          !dst.emplace(static_cast<CoreId>(core), v).second)
-        return false;
-    }
+  for (const auto& [name, n] : counters->members()) {
+    std::uint64_t v = 0;
+    if (!u64_of(n, &v) || v == 0) return false;
+    reg.counters_.emplace(name, v);
   }
-  for (const auto& [name, cores] : histograms->members()) {
-    if (!cores.is_object() || cores.size() == 0 || reg.histograms_.count(name))
-      return false;
-    auto& dst = reg.histograms_[name];
-    for (const auto& [key, hj] : cores.members()) {
-      std::uint64_t core = 0;
-      Histogram h;
-      if (!index_of(key, kCoreLimit, &core) || !Histogram::from_json(hj, &h) ||
-          !dst.emplace(static_cast<CoreId>(core), h).second)
-        return false;
-    }
+  for (const auto& [name, hj] : histograms->members()) {
+    Histogram h;
+    if (!Histogram::from_json(hj, &h)) return false;
+    reg.histograms_.emplace(name, h);
   }
   *out = std::move(reg);
   return true;

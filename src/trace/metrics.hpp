@@ -1,12 +1,13 @@
 // Metrics registry: named counters and log-scale latency histograms,
-// kept per core and aggregated machine-wide.
+// machine-wide. A run records one flat set; a sweep merges its runs' sets.
 //
 // The registry is the quantitative side of the tracing subsystem: where the
 // ring-buffer tracer answers "what happened around cycle X", the registry
 // answers "what is the p99 barrier completion latency over the whole run".
 // Histograms are log2-bucketed (64 buckets cover the full Cycle range) so a
 // histogram is a fixed 600-byte object no matter how many samples land in
-// it — cheap enough to keep one per (metric, core).
+// it. Every number is machine-wide, as the paper prices a barrier: no core
+// id reaches the registry.
 //
 // The simulator fills a registry through sim::RunConfig::metrics: the
 // latency histograms are fed at the hook sites, the counters are folded in
@@ -21,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/types.hpp"
 #include "trace/json.hpp"
 
 namespace armbar::trace {
@@ -115,27 +115,20 @@ struct HistogramSummary {
 
 HistogramSummary summarize(const Histogram& h);
 
-/// Named counters + histograms, each kept per core with a machine-wide
-/// aggregate view. Per-core storage is sparse — only cores that counted or
-/// sampled something hold an entry — so a two-core run on the 64-core
-/// preset costs two slots per metric, not 64.
+/// Named counters + histograms, machine-wide. Only names that counted or
+/// sampled something hold an entry.
 class MetricsRegistry {
  public:
   /// Add `delta` to a counter; a zero delta records nothing, so a counter
-  /// exists exactly when some core counted something.
-  void inc(std::string_view name, CoreId core, std::uint64_t delta = 1);
-  void observe(std::string_view name, CoreId core, std::uint64_t value);
-  /// Fold a whole per-core histogram in; an empty one records nothing.
-  void merge(std::string_view name, CoreId core, const Histogram& h);
+  /// exists exactly when something was counted.
+  void inc(std::string_view name, std::uint64_t delta = 1);
+  /// Fold a whole histogram in; an empty one records nothing.
+  void merge(std::string_view name, const Histogram& h);
 
-  /// Machine-wide counter total (0 when the name was never incremented).
+  /// Counter value (0 when the name was never incremented).
   std::uint64_t counter(std::string_view name) const;
-  std::uint64_t counter(std::string_view name, CoreId core) const;
-
-  /// Machine-wide histogram (all cores merged); empty when never observed.
+  /// Histogram; empty when never sampled.
   Histogram histogram(std::string_view name) const;
-  /// Per-core histogram; nullptr when the (name, core) pair has no samples.
-  const Histogram* histogram(std::string_view name, CoreId core) const;
 
   std::vector<std::string> counter_names() const;
   std::vector<std::string> histogram_names() const;
@@ -143,18 +136,18 @@ class MetricsRegistry {
   bool empty() const { return counters_.empty() && histograms_.empty(); }
   void clear();
 
-  /// Fold another registry into this one: counters add and histograms merge,
-  /// core by core. Lets parallel sweeps record into per-worker registries and
+  /// Fold another registry into this one: counters add and histograms
+  /// merge. Lets parallel sweeps record into per-point registries and
   /// combine them afterwards without sharing mutable state during the run.
   void merge(const MetricsRegistry& other);
 
   bool operator==(const MetricsRegistry&) const = default;
 
   /// Lossless, sparse JSON form, the shape result-cache entries store:
-  ///   {"counters":   {"<name>": {"<core>": n, ...}, ...},
-  ///    "histograms": {"<name>": {"<core>": <Histogram::to_json>, ...}, ...}}
-  /// Only cores holding an entry are written, and integers above 2^53
-  /// travel as decimal strings, which the double-valued DOM keeps exact.
+  ///   {"counters":   {"<name>": n, ...},
+  ///    "histograms": {"<name>": <Histogram::to_json>, ...}}
+  /// Integers above 2^53 travel as decimal strings, which the
+  /// double-valued DOM keeps exact.
   Json to_json() const;
   /// Inverse of to_json(): on success *out holds exactly the encoded
   /// registry. False (and *out untouched) on a malformed document.
@@ -163,8 +156,8 @@ class MetricsRegistry {
  private:
   // std::map: stable iteration order (deterministic exports), heterogeneous
   // string_view lookup via std::less<>.
-  std::map<std::string, std::map<CoreId, std::uint64_t>, std::less<>> counters_;
-  std::map<std::string, std::map<CoreId, Histogram>, std::less<>> histograms_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace armbar::trace

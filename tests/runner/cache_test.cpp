@@ -1,6 +1,7 @@
 // ResultCache: content-addressed memoization with on-disk persistence.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -136,8 +137,10 @@ TEST(ResultCache, StructuredValuesRoundTrip) {
 
 TEST(ResultCache, MetricsTravelWithTheValue) {
   trace::MetricsRegistry reg;
-  reg.inc(trace::metric::kInstrs, 32, 77);
-  reg.observe(trace::metric::kBarrierTxn, 0, 40);
+  reg.inc(trace::metric::kInstrs, 77);
+  trace::Histogram txn;
+  txn.add(40);
+  reg.merge(trace::metric::kBarrierTxn, txn);
   const std::string key = "0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f";
   ResultCache c(temp_cache_dir("metrics"));
   c.store(key, "with metrics", value_of(3), &reg);
@@ -149,9 +152,9 @@ TEST(ResultCache, MetricsTravelWithTheValue) {
     EXPECT_DOUBLE_EQ(v->number(), 3);
     EXPECT_TRUE(got == reg);
   };
-  expect_hit(c);  // from memory
+  expect_hit(c);
   ResultCache fresh(c.dir());
-  expect_hit(fresh);  // from disk
+  expect_hit(fresh);
 }
 
 TEST(ResultCache, EntryWithoutMetricsIsStaleForAMetricsLookup) {
@@ -189,7 +192,7 @@ TEST(ResultCache, ConcurrentLookupsAgreeAndCountEveryCall) {
     ResultCache writer(dir);
     for (int i = 0; i < kStored; ++i) {
       trace::MetricsRegistry reg;
-      reg.inc(trace::metric::kInstrs, static_cast<CoreId>(i % 3), i + 1);
+      reg.inc(trace::metric::kInstrs, i + 1);
       writer.store(key_of(i), "point", value_of(i * 1.5), &reg);
     }
   }
@@ -229,6 +232,69 @@ TEST(ResultCache, ConcurrentLookupsAgreeAndCountEveryCall) {
   EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads * kStored));
   EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kThreads * kAbsent));
   EXPECT_EQ(s.evictions, 0u);
+}
+
+TEST(ResultCache, ConcurrentStoresOfOneKeyLeaveOneWholeEntry) {
+  // Stores write outside the lock, each through its own temp file and a
+  // rename. Four threads store one key at once, each an entry of its own
+  // size, while a fifth looks it up: every hit must be one whole entry (one
+  // thread's value with that thread's metrics; a torn one would read as
+  // corrupt, an eviction), and no temp file may be left behind.
+  const std::string dir = temp_cache_dir("concurrent_store");
+  const std::string key = "5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a";
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::atomic<bool> stored{false};
+  int mismatched = 0;
+  ResultCache::Stats read{};
+  {
+    ResultCache c(dir);
+    std::thread reader([&] {
+      ResultCache r(dir);
+      while (!stored.load()) {
+        trace::MetricsRegistry got;
+        const auto v = r.lookup(key, &got);
+        if (v.has_value() &&
+            (!v->is_number() ||
+             static_cast<double>(got.counter(trace::metric::kInstrs)) !=
+                 v->number()))
+          ++mismatched;
+      }
+      read = r.stats();
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+      writers.emplace_back([&, t] {
+        trace::MetricsRegistry reg;
+        reg.inc(trace::metric::kInstrs, static_cast<std::uint64_t>(t + 1));
+        const std::string desc(8192 * (t + 1), static_cast<char>('a' + t));
+        for (int r = 0; r < kRounds; ++r)
+          c.store(key, desc, value_of(t + 1), &reg);
+      });
+    for (std::thread& th : writers) th.join();
+    stored = true;
+    reader.join();
+    EXPECT_EQ(c.stats().stores, static_cast<std::uint64_t>(kThreads * kRounds));
+  }
+  EXPECT_EQ(read.evictions, 0u) << "a lookup saw a torn entry";
+  EXPECT_EQ(mismatched, 0);
+  int files = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(f.path().filename().string(), key + ".json");
+    ++files;
+  }
+  EXPECT_EQ(files, 1);
+
+  ResultCache fresh(dir);
+  trace::MetricsRegistry got;
+  const auto v = fresh.lookup(key, &got);
+  ASSERT_TRUE(v.has_value());
+  ASSERT_TRUE(v->is_number());
+  EXPECT_GE(v->number(), 1);
+  EXPECT_LE(v->number(), kThreads);
+  EXPECT_EQ(static_cast<double>(got.counter(trace::metric::kInstrs)),
+            v->number());
+  EXPECT_EQ(fresh.stats().hits, 1u);
 }
 
 }  // namespace

@@ -252,44 +252,70 @@ TEST(Engine, CachedMetricsEqualFreshOnes) {
   }
 }
 
-TEST(Engine, V1EntriesAreEvictedAndRecomputed) {
-  Registry r = make_registry();
-  const std::string dir = ::testing::TempDir() + "armbar_engine_cache_v1";
-  std::filesystem::remove_all(dir);
-  EngineOptions o = base_opts();
-  o.filter = "instrumented_pairs";
-  o.cache_enabled = true;
-  o.cache_dir = dir;
-  o.collect_metrics = true;
-  const auto ref = Engine(r, o).run();
-  ASSERT_EQ(ref.cache_stats.stores, 6u);
-
-  // Downgrade every entry to the schema from before metrics were cached.
-  int rewritten = 0;
-  for (const auto& f : std::filesystem::directory_iterator(dir)) {
-    std::stringstream text;
-    text << std::ifstream(f.path()).rdbuf();
-    std::string doc = text.str();
-    const std::string v2 = kCacheEntrySchema;
-    const auto at = doc.find(v2);
-    ASSERT_NE(at, std::string::npos);
-    doc.replace(at, v2.size(), "armbar.cache.entry/v1");
-    std::ofstream(f.path(), std::ios::trunc) << doc;
-    ++rewritten;
+/// A flat v3 "metrics" member in the per-core shape entry schema v2 had,
+/// every number under core 0.
+trace::Json per_core(const trace::Json& flat) {
+  trace::Json out = trace::Json::object();
+  for (const char* section : {"counters", "histograms"}) {
+    trace::Json names = trace::Json::object();
+    for (const auto& [name, v] : flat.find(section)->members()) {
+      trace::Json cores = trace::Json::object();
+      cores.set("0", v);
+      names.set(name, std::move(cores));
+    }
+    out.set(section, std::move(names));
   }
-  ASSERT_EQ(rewritten, 6);
+  return out;
+}
 
-  const auto res = Engine(r, o).run();
-  EXPECT_EQ(res.cache_stats.evictions, 6u);
-  EXPECT_EQ(res.cache_stats.hits, 0u);
-  EXPECT_EQ(res.cache_stats.stores, 6u);
-  EXPECT_EQ(counters_and_histograms(res.report),
-            counters_and_histograms(ref.report));
-  EXPECT_EQ(res.outcomes[0].points_digest, ref.outcomes[0].points_digest);
+TEST(Engine, V1EntriesAreEvictedAndRecomputed) {
+  // Entries of an older schema are stale: a v1 entry (from before metrics
+  // were cached) and a v2 entry with per-core metrics are both evicted,
+  // and the recomputed values and metrics equal a --no-cache run's.
+  Registry r = make_registry();
+  EngineOptions fresh = base_opts();  // --no-cache --json
+  fresh.filter = "instrumented_pairs";
+  fresh.collect_metrics = true;
+  const auto ref = Engine(r, fresh).run();
+  ASSERT_TRUE(ref.ok);
 
-  const auto again = Engine(r, o).run();  // the recomputed entries are v2
-  EXPECT_EQ(again.outcomes[0].cache_hits, 6u);
-  EXPECT_EQ(again.cache_stats.evictions, 0u);
+  for (const std::string old : {"armbar.cache.entry/v1", "armbar.cache.entry/v2"}) {
+    SCOPED_TRACE(old);
+    const std::string dir = ::testing::TempDir() + "armbar_engine_cache_old";
+    std::filesystem::remove_all(dir);
+    EngineOptions o = fresh;
+    o.cache_enabled = true;
+    o.cache_dir = dir;
+    ASSERT_EQ(Engine(r, o).run().cache_stats.stores, 6u);
+
+    int rewritten = 0;
+    for (const auto& f : std::filesystem::directory_iterator(dir)) {
+      std::stringstream text;
+      text << std::ifstream(f.path()).rdbuf();
+      trace::Json doc = trace::Json::parse(text.str());
+      ASSERT_EQ(doc.find("schema")->str(), kCacheEntrySchema);
+      doc.set("schema", old);
+      if (old == "armbar.cache.entry/v2")
+        doc.set("metrics", per_core(*doc.find("metrics")));
+      std::ofstream(f.path(), std::ios::trunc) << doc.dump(1) << "\n";
+      ++rewritten;
+    }
+    ASSERT_EQ(rewritten, 6);
+
+    const auto res = Engine(r, o).run();
+    EXPECT_EQ(res.cache_stats.evictions, 6u);
+    EXPECT_EQ(res.cache_stats.hits, 0u);
+    EXPECT_EQ(res.cache_stats.stores, 6u);
+    EXPECT_EQ(counters_and_histograms(res.report),
+              counters_and_histograms(ref.report));
+    EXPECT_EQ(res.outcomes[0].points_digest, ref.outcomes[0].points_digest);
+
+    const auto again = Engine(r, o).run();  // the recomputed entries are v3
+    EXPECT_EQ(again.outcomes[0].cache_hits, 6u);
+    EXPECT_EQ(again.cache_stats.evictions, 0u);
+    EXPECT_EQ(counters_and_histograms(again.report),
+              counters_and_histograms(ref.report));
+  }
 }
 
 TEST(Engine, AbortIsolatesToOneExperiment) {

@@ -1,7 +1,8 @@
-// Histogram bucketing/percentiles, the per-core metrics registry and its
-// JSON round trip.
+// Histogram bucketing/percentiles, the machine-wide metrics registry and
+// its JSON round trip.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 
 #include "trace/json.hpp"
@@ -93,42 +94,51 @@ TEST(Summarize, FlattensHistogram) {
   EXPECT_LE(s.p95, s.p99);
 }
 
+/// A histogram holding `samples`.
+Histogram histogram_of(std::initializer_list<std::uint64_t> samples) {
+  Histogram h;
+  for (const std::uint64_t v : samples) h.add(v);
+  return h;
+}
+
 TEST(MetricsRegistry, CountersPerCoreAndMachineWide) {
+  // What several cores count lands in one machine-wide counter.
   MetricsRegistry reg;
   EXPECT_TRUE(reg.empty());
   EXPECT_EQ(reg.counter("never"), 0u);
 
-  reg.inc("instrs", 0, 5);
-  reg.inc("instrs", 3, 7);
-  reg.inc("instrs", 0);
+  reg.inc("instrs", 5);  // core 0's CoreStats
+  reg.inc("instrs", 7);  // core 3's
+  reg.inc("instrs");
+  reg.inc("squashes", 0);  // a zero delta records nothing
   EXPECT_EQ(reg.counter("instrs"), 13u);
-  EXPECT_EQ(reg.counter("instrs", 0), 6u);
-  EXPECT_EQ(reg.counter("instrs", 3), 7u);
-  EXPECT_EQ(reg.counter("instrs", 1), 0u);
+  EXPECT_EQ(reg.counter_names(), (std::vector<std::string>{"instrs"}));
 }
 
 TEST(MetricsRegistry, HistogramsPerCoreAndMerged) {
+  // Samples from several cores merge into one machine-wide histogram,
+  // exactly as if one histogram had taken them all.
   MetricsRegistry reg;
-  reg.observe("lat", 0, 10);
-  reg.observe("lat", 2, 1000);
-
-  ASSERT_NE(reg.histogram("lat", 0), nullptr);
-  EXPECT_EQ(reg.histogram("lat", 0)->count(), 1u);
-  EXPECT_EQ(reg.histogram("lat", 1), nullptr);
+  reg.merge("lat", histogram_of({10}));
+  reg.merge("lat", histogram_of({1000}));
+  reg.merge("lat", Histogram{});  // an empty one records nothing
+  reg.merge("empty", Histogram{});
 
   const Histogram all = reg.histogram("lat");
   EXPECT_EQ(all.count(), 2u);
   EXPECT_EQ(all.min(), 10u);
   EXPECT_EQ(all.max(), 1000u);
+  EXPECT_TRUE(all == histogram_of({10, 1000}));
   EXPECT_EQ(reg.histogram("other").count(), 0u);
+  EXPECT_EQ(reg.histogram_names(), (std::vector<std::string>{"lat"}));
 }
 
 TEST(MetricsRegistry, NamesAreSortedAndClearable) {
   MetricsRegistry reg;
-  reg.inc("b", 0);
-  reg.inc("a", 0);
-  reg.observe("z", 0, 1);
-  reg.observe("y", 0, 1);
+  reg.inc("b");
+  reg.inc("a");
+  reg.merge("z", histogram_of({1}));
+  reg.merge("y", histogram_of({1}));
   EXPECT_EQ(reg.counter_names(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(reg.histogram_names(), (std::vector<std::string>{"y", "z"}));
   reg.clear();
@@ -154,69 +164,64 @@ TEST(MetricsRegistryJson, EmptyRegistryRoundTrips) {
 }
 
 TEST(MetricsRegistryJson, OnlyPopulatedCoresAndBucketsAreWritten) {
+  // A run on core 32 of the 64-core preset writes its numbers straight
+  // under each name: no core level, and only the non-zero buckets.
   MetricsRegistry reg;
-  reg.inc(metric::kInstrs, 32, 1234);
-  reg.observe(metric::kCohTransfer, 32, 180);
-  reg.observe(metric::kCohTransfer, 32, 190);
+  reg.inc(metric::kInstrs, 1234);
+  reg.merge(metric::kCohTransfer, histogram_of({180, 190}));
 
   const Json j = reg.to_json();
   const Json* instrs = j.find("counters")->find(metric::kInstrs);
   ASSERT_NE(instrs, nullptr);
-  EXPECT_EQ(instrs->size(), 1u);
-  EXPECT_NE(instrs->find("32"), nullptr);
+  ASSERT_TRUE(instrs->is_number());
+  EXPECT_EQ(instrs->number(), 1234);
   const Json* coh = j.find("histograms")->find(metric::kCohTransfer);
   ASSERT_NE(coh, nullptr);
-  EXPECT_EQ(coh->size(), 1u);
-  ASSERT_NE(coh->find("32"), nullptr);
-  EXPECT_EQ(coh->find("32")->find("buckets")->size(), 1u);  // both in [128, 256)
+  EXPECT_EQ(coh->find("32"), nullptr);
+  ASSERT_NE(coh->find("buckets"), nullptr);
+  EXPECT_EQ(coh->find("buckets")->size(), 1u);  // both in [128, 256)
 
   const MetricsRegistry back = round_trip(reg);
   EXPECT_TRUE(back == reg);
-  EXPECT_EQ(back.counter(metric::kInstrs, 32), 1234u);
-  EXPECT_EQ(back.counter(metric::kInstrs, 0), 0u);
-  EXPECT_EQ(back.histogram(metric::kCohTransfer, 0), nullptr);
+  EXPECT_EQ(back.counter(metric::kInstrs), 1234u);
   EXPECT_EQ(back.histogram(metric::kCohTransfer).sum(), 370u);
 }
 
 TEST(MetricsRegistryJson, EveryBucketRoundTrips) {
-  MetricsRegistry reg;
-  reg.observe("lat", 3, 0);
+  Histogram h = histogram_of({0});
   for (std::size_t i = 1; i < Histogram::kBuckets; ++i) {
-    reg.observe("lat", 3, Histogram::bucket_lo(i));
-    reg.observe("lat", 3, Histogram::bucket_lo(i) * 2 - 1);  // top of bucket i
+    h.add(Histogram::bucket_lo(i));
+    h.add(Histogram::bucket_lo(i) * 2 - 1);  // top of bucket i
   }
-  const Histogram* h = reg.histogram("lat", 3);
-  ASSERT_NE(h, nullptr);
   for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
-    EXPECT_GT(h->buckets()[i], 0u) << "bucket " << i;
-  EXPECT_EQ(h->max(), ~0ULL);
+    EXPECT_GT(h.buckets()[i], 0u) << "bucket " << i;
+  EXPECT_EQ(h.max(), ~0ULL);
+  MetricsRegistry reg;
+  reg.merge("lat", h);
 
   const MetricsRegistry back = round_trip(reg);
   EXPECT_TRUE(back == reg);
-  ASSERT_NE(back.histogram("lat", 3), nullptr);
-  EXPECT_EQ(back.histogram("lat", 3)->buckets(), h->buckets());
+  EXPECT_EQ(back.histogram("lat").buckets(), h.buckets());
 }
 
 TEST(MetricsRegistryJson, IntegersAbove2To53StayExact) {
   // 2^53 + 1 is the first integer a double cannot hold.
   const std::uint64_t big = (1ULL << 53) + 1;
   MetricsRegistry reg;
-  reg.observe("lat", 0, big);
-  reg.observe("lat", 0, big + 2);
-  reg.inc("ctr", 5, big);
+  reg.merge("lat", histogram_of({big, big + 2}));
+  reg.inc("ctr", big);
 
   const MetricsRegistry back = round_trip(reg);
   EXPECT_TRUE(back == reg);
-  ASSERT_NE(back.histogram("lat", 0), nullptr);
-  EXPECT_EQ(back.histogram("lat", 0)->sum(), 2 * big + 2);
-  EXPECT_EQ(back.histogram("lat", 0)->min(), big);
-  EXPECT_EQ(back.histogram("lat", 0)->max(), big + 2);
-  EXPECT_EQ(back.counter("ctr", 5), big);
+  EXPECT_EQ(back.histogram("lat").sum(), 2 * big + 2);
+  EXPECT_EQ(back.histogram("lat").min(), big);
+  EXPECT_EQ(back.histogram("lat").max(), big + 2);
+  EXPECT_EQ(back.counter("ctr"), big);
 }
 
 TEST(MetricsRegistryJson, MalformedDocumentsAreRejected) {
   MetricsRegistry out;
-  out.inc("kept", 0);
+  out.inc("kept");
   const MetricsRegistry before = out;
   const auto rejects = [&](const char* text) {
     std::string err;
@@ -227,15 +232,18 @@ TEST(MetricsRegistryJson, MalformedDocumentsAreRejected) {
   };
   rejects("null");
   rejects(R"({"counters": {}})");
-  rejects(R"({"counters": {"c": {"0": 0}}, "histograms": {}})");
-  rejects(R"({"counters": {"c": {"0": -1}}, "histograms": {}})");
-  rejects(R"({"counters": {"c": {"0": 1.5}}, "histograms": {}})");
-  rejects(R"({"counters": {"c": {"07": 1}}, "histograms": {}})");
-  rejects(R"({"counters": {"c": {"0": "99999999999999999999"}}, "histograms": {}})");
+  rejects(R"({"counters": {"c": 0}, "histograms": {}})");
+  rejects(R"({"counters": {"c": -1}, "histograms": {}})");
+  rejects(R"({"counters": {"c": 1.5}, "histograms": {}})");
+  rejects(R"({"counters": {"c": "99999999999999999999"}, "histograms": {}})");
+  // The per-core shape of entry schema v2.
+  rejects(R"({"counters": {"c": {"0": 1}}, "histograms": {}})");
+  rejects(R"({"counters": {}, "histograms": {"h":
+      {"sum": 0, "min": 0, "max": 0, "buckets": {}}}})");
+  rejects(R"({"counters": {}, "histograms": {"h":
+      {"sum": 1, "min": 1, "max": 1, "buckets": {"65": 1}}}})");
   rejects(R"({"counters": {}, "histograms": {"h": {"0":
-      {"sum": 0, "min": 0, "max": 0, "buckets": {}}}}})");
-  rejects(R"({"counters": {}, "histograms": {"h": {"0":
-      {"sum": 1, "min": 1, "max": 1, "buckets": {"65": 1}}}}})");
+      {"sum": 1, "min": 1, "max": 1, "buckets": {"1": 1}}}}})");
 }
 
 }  // namespace

@@ -19,37 +19,43 @@ namespace {
 
 namespace metric = trace::metric;
 
-/// The metric definitions, applied to a ring's events.
+/// The metric definitions, applied to a ring's events, one sample at a
+/// time.
 trace::MetricsRegistry registry_from_ring(const trace::Tracer& t) {
   trace::MetricsRegistry reg;
+  const auto sample = [&](const char* name, std::uint64_t v) {
+    trace::Histogram h;
+    h.add(v);
+    reg.merge(name, h);
+  };
   for (const trace::Event& e : t.snapshot()) {
     switch (e.kind) {
       case trace::EventKind::kInstrIssue:
-        reg.inc(metric::kInstrs, e.core);
+        reg.inc(metric::kInstrs);
         break;
       case trace::EventKind::kStall:
         reg.inc(std::string(metric::kStallPrefix) + t.stall_cause_name(e.detail),
-                e.core, e.end - e.begin);
+                e.end - e.begin);
         break;
       case trace::EventKind::kSquash:
-        reg.inc(metric::kSquashes, e.core);
+        reg.inc(metric::kSquashes);
         break;
       case trace::EventKind::kBarrierIssue:
-        reg.inc(metric::kBarriers, e.core);
+        reg.inc(metric::kBarriers);
         break;
       case trace::EventKind::kSbDrainRetire:
-        reg.observe(metric::kSbResidency, e.core, e.b);
+        sample(metric::kSbResidency, e.b);
         break;
       case trace::EventKind::kCohTransfer:
-        reg.observe(metric::kCohTransfer, e.core, e.b);
+        sample(metric::kCohTransfer, e.b);
         if (e.detail == static_cast<std::uint8_t>(trace::CohKind::kGetMRemote))
-          reg.observe(metric::kRemoteInv, e.core, e.b);
+          sample(metric::kRemoteInv, e.b);
         break;
       case trace::EventKind::kBarrierTxn:
-        reg.observe(metric::kBarrierTxn, e.core, e.b);
+        sample(metric::kBarrierTxn, e.b);
         break;
       case trace::EventKind::kBarrierComplete:
-        reg.observe(metric::kBarrierComplete, e.core, e.b);
+        sample(metric::kBarrierComplete, e.b);
         break;
       default:
         break;
@@ -156,10 +162,25 @@ Program squash_loop(std::uint32_t iters) {
   return a.take("squash-loop");
 }
 
+/// `prog` on every core in `cores`, over the same buffers.
+void run_on(const PlatformSpec& spec, const Program& prog,
+            const std::vector<CoreId>& cores, trace::Tracer* ring,
+            trace::MetricsRegistry* metrics) {
+  Machine m(spec, 64u << 20);
+  for (const CoreId c : cores) m.load_program(c, prog);
+  RunConfig cfg;
+  cfg.tracer = ring;
+  cfg.metrics = metrics;
+  ASSERT_TRUE(m.run(cfg).completed);
+}
+
 TEST(RunMetrics, DirectFeedEqualsTheRing) {
   using simprog::BarrierLoc;
   using simprog::OrderChoice;
   constexpr std::uint32_t kIters = 40;
+  // Every program runs as a pair on the first and last core; the first
+  // also runs on cores 0, 1, 2 and the last at once, so several cores feed
+  // the run's one histogram set.
   const std::vector<Program> progs = {
       simprog::make_store_store_model(OrderChoice::kDmbFull, BarrierLoc::kLoc1,
                                       4, kIters, simprog::kBufA,
@@ -175,17 +196,25 @@ TEST(RunMetrics, DirectFeedEqualsTheRing) {
   trace::MetricsRegistry seen;  // which metrics the sweep exercised at all
   for (const PlatformSpec& spec : all_platforms()) {
     const CoreId far = spec.total_cores() - 1;  // cross-cluster / cross-node
-    for (const Program& p : progs) {
+    const auto check = [&](const std::string& what, const auto& run) {
       trace::Tracer ring(1u << 16);
       trace::MetricsRegistry direct;
-      simprog::run_pair(spec, p, kIters, 0, far, &ring, &direct);
-      ASSERT_EQ(ring.dropped(), 0u) << "raise the ring capacity";
+      run(&ring, &direct);
+      ASSERT_EQ(ring.dropped(), 0u) << "raise the ring capacity: " << what;
       const trace::MetricsRegistry rebuilt = registry_from_ring(ring);
-      EXPECT_EQ(direct.to_json().dump(), rebuilt.to_json().dump())
-          << spec.name << " " << p.name;
-      EXPECT_TRUE(direct == rebuilt) << spec.name << " " << p.name;
+      EXPECT_EQ(direct.to_json().dump(), rebuilt.to_json().dump()) << what;
+      EXPECT_TRUE(direct == rebuilt) << what;
       seen.merge(direct);
-    }
+    };
+    for (const Program& p : progs)
+      check(spec.name + " " + p.name,
+            [&](trace::Tracer* ring, trace::MetricsRegistry* direct) {
+              simprog::run_pair(spec, p, kIters, 0, far, ring, direct);
+            });
+    check(spec.name + " " + progs[0].name + " on 4 cores",
+          [&](trace::Tracer* ring, trace::MetricsRegistry* direct) {
+            run_on(spec, progs[0], {0, 1, 2, far}, ring, direct);
+          });
   }
   for (const char* name :
        {metric::kBarrierComplete, metric::kBarrierTxn, metric::kSbResidency,

@@ -66,22 +66,10 @@ int main(int argc, char** argv) {
   args.add_value("min-ratio", "R",
                  "gate: current ips_vs_null must be >= R x baseline's",
                  std::to_string(defaults.min_rel_ratio));
-  args.add_value("phase-drift", "PP",
-                 "flag a phase whose self-time share moved by more than PP "
-                 "percentage points",
-                 std::to_string(defaults.phase_drift_pp));
-  args.add_value("min-phase-share", "PCT",
-                 "ignore phase drifts whose current self-time share is below "
-                 "PCT percent (share inflation from a faster hot path is not "
-                 "a regression)",
-                 std::to_string(defaults.min_phase_share_pct));
   args.add_value("min-preset-ratio", "R",
                  "also gate every per-preset *_ips metric, normalized by the "
                  "null loop, at >= R x baseline (0 = off)",
                  std::to_string(defaults.min_preset_ratio));
-  args.add_flag("gate-phases",
-                "fail the gate on phase-share drifts too (advisory by "
-                "default)");
 
   std::string err;
   if (!args.parse(argc, argv, &err)) {
@@ -101,14 +89,9 @@ int main(int argc, char** argv) {
 
   armbar::prof::PerfDiffOptions opts;
   if (!parse_double(args.str("min-ratio"), "min-ratio", &opts.min_rel_ratio) ||
-      !parse_double(args.str("phase-drift"), "phase-drift",
-                    &opts.phase_drift_pp) ||
-      !parse_double(args.str("min-phase-share"), "min-phase-share",
-                    &opts.min_phase_share_pct) ||
       !parse_double(args.str("min-preset-ratio"), "min-preset-ratio",
                     &opts.min_preset_ratio))
     return 2;
-  opts.gate_phases = args.given("gate-phases");
 
   armbar::trace::Json base, cur;
   if (!read_report(args.positionals()[0], &base) ||
