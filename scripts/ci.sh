@@ -38,8 +38,12 @@
 #     only holds while untraced NOP runs retire in one step;
 #   * a lane gate: a profiled --no-cache fig8a_queue_stack run must make
 #     fewer than 10% as many scheduler heap pushes (sim.heap_pushes) as
-#     core steps, which only holds while a core rescheduled at the next
-#     cycle goes into the next-cycle lane;
+#     core steps, which only holds while a core rescheduled within the next
+#     63 cycles goes into the scheduler's wheel;
+#   * a run-ahead gate: a profiled --no-cache fig7b_delegation run must take
+#     fewer core steps than it retires instructions, which only holds while
+#     a store behind an unresolved DMB st gate sleeps to its event horizon
+#     and core-local instructions issue ahead of the sweep;
 #   * the model_perf experiment gating the POR checker >= 5x faster than
 #     the naive oracle on the co-heavy deep-MP shape (report-validated,
 #     speedup read back out of the JSON);
@@ -278,11 +282,10 @@ print(f"step gate OK ({steps} steps for {instrs} instructions, "
 EOF
 
 echo "== lane gate (fig8a reschedules its spinning cores without the heap) =="
-# Deterministic, no timing: fig8a's 24-25 live cores spin or compute one
-# instruction per cycle, so almost every step reschedules its core at the
-# next cycle, which the scheduler's next-cycle lane files without a heap
-# push. A heap-only scheduler pushes once per step, while every digest
-# would still match.
+# Deterministic, no timing: fig8a's 24-25 live cores spin or compute, so
+# almost every step reschedules its core a few cycles ahead, which the
+# scheduler's 64-lane wheel files without a heap push. A heap-only
+# scheduler pushes once per step, while every digest would still match.
 "$BENCH" --filter fig8a_queue_stack --no-cache --profile \
     --json="$SMOKE_DIR/fig8a-lane.report.json" > /dev/null
 python3 - "$SMOKE_DIR/fig8a-lane.report.json" <<'EOF'
@@ -296,6 +299,25 @@ assert pushes < 0.10 * steps, \
     f"sim.heap_pushes {pushes} is not < 10% of sim.steps {steps}"
 print(f"lane gate OK ({pushes} heap pushes for {steps} steps, "
       f"{100 * pushes / steps:.1f}%; {hits} lane hits)")
+EOF
+
+echo "== run-ahead gate (fig7b takes fewer core steps than instructions) =="
+# Deterministic, no timing: fig7b's delegation locks wait behind DMB st
+# gates and spin through core-local instructions. Retrying a gated store
+# every cycle makes about 3.5x as many steps as instructions, and with
+# gate waits that sleep but no run-ahead it is still about 1.26x; only
+# both together take fewer steps than instructions, while every digest
+# would still match.
+"$BENCH" --filter fig7b_delegation --no-cache --profile \
+    --json="$SMOKE_DIR/fig7b-runahead.report.json" > /dev/null
+python3 - "$SMOKE_DIR/fig7b-runahead.report.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["host_prof"]["counters"]
+steps, instrs = counters["sim.steps"], counters["sim.instructions"]
+assert steps < instrs, \
+    f"sim.steps {steps} is not < sim.instructions {instrs}"
+print(f"run-ahead gate OK ({steps} steps for {instrs} instructions, "
+      f"{steps / instrs:.2f}x)")
 EOF
 
 echo "== model_perf gate (POR >= 5x naive on deep MP+dmb) =="

@@ -1,5 +1,6 @@
 #include "shmsvc/channel.hpp"
 
+#include <sched.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -236,7 +237,8 @@ RecoveryOutcome run_recovery(Segment& seg, std::uint32_t channel,
       // claimable round — a claimant of that round sees moved-past and
       // self-gaps, and the producer's flow-control wait exits.
       const std::uint64_t off = (i - (p & mask)) & mask;
-      s.seq.store(p + off, std::memory_order_relaxed);
+      std::uint64_t torn = sq;
+      s.seq.compare_exchange_strong(torn, p + off, std::memory_order_relaxed);
       c.seq_repairs.fetch_add(1, std::memory_order_relaxed);
       ++out.seq_repairs;
       continue;
@@ -260,7 +262,9 @@ RecoveryOutcome run_recovery(Segment& seg, std::uint32_t channel,
       c.slot_reclaims.fetch_add(1, std::memory_order_relaxed);
       ++out.slot_reclaims;
     }
-    s.seq.store(r + cap, std::memory_order_relaxed);  // release
+    // Release, unless the claimant released it since we read it.
+    std::uint64_t claimed = sq;
+    s.seq.compare_exchange_strong(claimed, r + cap, std::memory_order_relaxed);
   }
 
   // Step 3 — locks held by gone peers. The partial critical section behind
@@ -363,8 +367,12 @@ Producer::Producer(Segment& seg, std::uint32_t channel, Peer& peer,
   ARMBAR_CHECK_MSG(pp == kNoPeer || peer_gone(seg_, pp) || pp == peer.index(),
                    "second live producer attached to channel");
   // Reconcile a dead predecessor's in-flight record before taking over, so
-  // we never double-publish round `prod`.
-  run_recovery(seg_, channel_, peer_.index(), /*force=*/true);
+  // we never double-publish round `prod`. A live peer already recovering
+  // the channel may be reconciling it right now, and reading `prod` before
+  // that pass advances it would leave us waiting on a slot that is never
+  // free again: `prod` is final once a pass of our own has run.
+  while (!run_recovery(seg_, channel_, peer_.index(), /*force=*/true).ran)
+    sched_yield();
   c_.producer_peer.store(peer_.index(), std::memory_order_release);
   pos_ = c_.prod.load(std::memory_order_relaxed);
 }
@@ -617,9 +625,15 @@ Consumer::Pop Consumer::pop(std::uint32_t* payload, std::uint64_t* ticket) {
     note_latency(s.stamp.load(std::memory_order_relaxed));
 
     // Release: order our reads of rec/stamp before handing the slot back.
+    // Only from this round's published state: recovery cannot tell a slow
+    // claimant from a dead one, so it may have released the slot for us
+    // while we were descheduled and the producer may have reused it since;
+    // a plain store would move the slot back to an old round and wedge
+    // that round's claimant.
     arch::barrier(arch::Barrier::kDmbLd);
     ++barriers_l_;
-    s.seq.store(t + cap, std::memory_order_relaxed);
+    std::uint64_t published = kind_ == ChannelKind::kPilotRing ? t : t + 1;
+    s.seq.compare_exchange_strong(published, t + cap, std::memory_order_relaxed);
     c_.prod_doorbell.post();
     ++ops_;
     if ((ops_ & 0xf) == 0) peer_.heartbeat();

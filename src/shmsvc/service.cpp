@@ -327,10 +327,29 @@ FleetResult Fleet::run(const std::function<bool()>& interrupted) {
   const std::uint64_t watchdog_at = t0 + ms_to_ns(cfg_.deadline_ms);
   const std::uint64_t chaos_until =
       cfg_.chaos && cfg_.chaos_ms != 0 ? t0 + ms_to_ns(cfg_.chaos_ms) : 0;
-  std::uint64_t next_kill =
-      cfg_.chaos ? t0 + ms_to_ns(cfg_.kill_min_ms +
-                                 rng.below(cfg_.kill_max_ms - cfg_.kill_min_ms + 1))
-                 : ~0ull;
+  // A kill-budget window (no chaos_ms) spaces its kills by production, not
+  // by wall clock: a kill lands each time the channels have produced
+  // another records / (2 * budget) tickets in total, so the budget is spent
+  // by half of one channel's stream however fast the fleet drains it.
+  const bool kill_by_production =
+      cfg_.chaos && cfg_.chaos_ms == 0 && cfg_.chaos_max_kills != 0;
+  const std::uint64_t kill_step =
+      kill_by_production
+          ? std::max<std::uint64_t>(1, h.records / (2 * cfg_.chaos_max_kills))
+          : 0;
+  const auto produced = [&] {
+    std::uint64_t total = 0;
+    for (std::uint32_t ch = 0; ch < channels; ++ch)
+      total += seg.ctrl(ch).prod.load(std::memory_order_relaxed);
+    return total;
+  };
+  const auto next_kill_after = [&](std::uint64_t now) {
+    return kill_by_production
+               ? produced() + kill_step
+               : now + ms_to_ns(cfg_.kill_min_ms +
+                                rng.below(cfg_.kill_max_ms - cfg_.kill_min_ms + 1));
+  };
+  std::uint64_t next_kill = cfg_.chaos ? next_kill_after(t0) : ~0ull;
   bool chaos_active = cfg_.chaos;
   bool failed = false;
 
@@ -410,7 +429,8 @@ FleetResult Fleet::run(const std::function<bool()>& interrupted) {
       if (window_over) {
         chaos_active = false;
         stop_all_channels();
-      } else if (now >= next_kill && !kids.empty()) {
+      } else if ((kill_by_production ? produced() : now) >= next_kill &&
+                 !kids.empty()) {
         std::vector<const Child*> pool;
         for (const Child& k : kids)
           if (cfg_.victims == ChaosVictims::kAll || k.role == Role::kProducer)
@@ -419,8 +439,7 @@ FleetResult Fleet::run(const std::function<bool()>& interrupted) {
           const Child* victim = pool[rng.below(pool.size())];
           if (::kill(victim->pid, SIGKILL) == 0) ++res.kills;
         }
-        next_kill = now + ms_to_ns(cfg_.kill_min_ms +
-                                   rng.below(cfg_.kill_max_ms - cfg_.kill_min_ms + 1));
+        next_kill = next_kill_after(now);
       }
     }
 

@@ -84,6 +84,9 @@ struct FleetConfig {
   std::uint64_t chaos_seed = 1;
   std::uint64_t chaos_ms = 0;        ///< kill window; then stop+drain
   std::uint64_t chaos_max_kills = 0; ///< end the kill window early (0 = by time)
+  /// Gap between kills in a timed window. A window of chaos_ms 0 ends by
+  /// its kill budget alone and spaces the kills by production instead
+  /// (one per records / (2 * chaos_max_kills) tickets, all channels).
   std::uint32_t kill_min_ms = 120;
   std::uint32_t kill_max_ms = 280;
   /// Probability (percent) that a spawned worker carries an in-op crash

@@ -341,19 +341,14 @@ void Core::issue(Cycle now) {
 
   switch (u.cls) {
     case OpClass::kNop: {
-      // A NOP run retires in one step, exactly as the per-cycle loop would
-      // have issued it: NOPs touch no shared state, and an invalidation only
-      // sets flags NOPs never read, so nothing another core does during the
-      // run can observe it. The run stops short of this core's next event —
-      // a store-buffer event, the front branch resolving, the cycle cap — so
-      // the step that meets it happens at the same cycle as before. A dirty
-      // buffer has no valid horizon (the next step must pump), and a tracer
-      // gets one issue per step so its ring is written in emission order.
+      // A NOP run retires in one issue, exactly as per-cycle issue would:
+      // the O(1) case of a core-local run (see run_ahead()), stopping short
+      // of the event horizon. A dirty buffer has no valid horizon (the next
+      // step must pump), and a tracer gets one issue per step so its ring is
+      // written in emission order.
       Cycle run = 1;
       if (u.nop_run > 1 && tracer_ == nullptr && !sb_dirty_) {
-        Cycle horizon = cyc_min(sb_horizon_, run_end_);
-        if (!branches_.empty())
-          horizon = cyc_min(horizon, branches_.front().resolve_at);
+        const Cycle horizon = event_horizon();
         if (horizon > now + 1) run = cyc_min(u.nop_run, horizon - now);
       }
       pc_ += static_cast<std::uint32_t>(run);
@@ -522,7 +517,7 @@ void Core::issue(Cycle now) {
       if (store_gate_armed_) {
         if (store_gate_watch_ >= 0) {
           // Gate resolution time still unknown: drains outstanding.
-          stall(now, now + 1, StallCause::kStoreGate);
+          stall(now, store_gate_wait_end(now), StallCause::kStoreGate);
           return;
         }
         if (store_gate_ready_ > now) {
@@ -532,7 +527,13 @@ void Core::issue(Cycle now) {
         store_gate_armed_ = false;
       }
       if (sb_.size() >= lat_.sb_entries) {
-        stall(now, earliest_sb_event(now), StallCause::kSbFull);
+        // With every entry gated on an unresolved branch no buffer event is
+        // pending: the branch resolving is the next change (its commit
+        // ungates the entries, and the next pump starts their drains).
+        Cycle until = earliest_sb_event(now);
+        if (until == kNeverCycle)
+          until = branches_.empty() ? now + 1 : branches_.front().resolve_at;
+        stall(now, until, StallCause::kSbFull);
         return;
       }
       SbEntry e;
@@ -642,7 +643,9 @@ void Core::issue(Cycle now) {
         store_gate_armed_ = false;  // gate already resolved and elapsed
       if (store_gate_armed_) {
         // A previous DMB st gate is still pending; serialize on it.
-        stall(now, store_gate_watch_ >= 0 ? now + 1 : store_gate_ready_,
+        stall(now,
+              store_gate_watch_ >= 0 ? store_gate_wait_end(now)
+                                     : store_gate_ready_,
               StallCause::kStoreGate);
         return;
       }
@@ -665,6 +668,46 @@ void Core::issue(Cycle now) {
 
   ARMBAR_TRACE(tracer_, instr_issue(id_, ins_pc, code(u.op), now));
   ++stats_.instructions;
+}
+
+Cycle Core::store_gate_wait_end(Cycle now) const {
+  // An unresolved gate resolves only in the pump that retires its last
+  // watched drain, and that pump runs at a store-buffer event, so the wait
+  // lasts until the event horizon: every step before it would re-issue the
+  // blocked instruction into the same one-cycle stall, and the stall cycles
+  // are charged over the same interval. A dirty buffer has no valid
+  // horizon, and a tracer keeps its per-cycle stall spans.
+  if (sb_dirty_ || tracer_ != nullptr) return now + 1;
+  const Cycle h = event_horizon();
+  return h == kNeverCycle ? now + 1 : h;
+}
+
+void Core::run_ahead() {
+  // Core-local instructions (NOP, ALU, jump, conditional branch) read and
+  // write only this core's registers, flags, ready times and branch list,
+  // so they issue ahead of the sweep exactly as per-cycle steps would have
+  // issued them: each at max(stall_until_, last_step_ + 1), with the same
+  // operand stalls. An invalidation only sets the event and monitor flags,
+  // which only WFE, STXR and a parked core read, and none of those occurs
+  // in a run. The run stops before the event horizon, so every pump, every
+  // branch resolve (and with it every squash) and the cycle cap stay at the
+  // steps that meet them. A dirty buffer has no valid horizon, a pending
+  // blocking barrier or a park holds issue, and a tracer gets one issue per
+  // step so its ring is written in emission order.
+  if (tracer_ != nullptr || sb_dirty_ || barrier_ || parked_) return;
+  Cycle horizon = event_horizon();
+  while (pc_ < prog_size_) {
+    const Cycle t = cyc_max(stall_until_, last_step_ + 1);
+    const OpClass cls = uops_[pc_].cls;
+    if (t >= horizon || (cls != OpClass::kNop && cls != OpClass::kAlu &&
+                         cls != OpClass::kJump && cls != OpClass::kCondBranch))
+      return;
+    last_step_ = t;
+    issue(t);
+    // A branch pushed onto an empty list becomes the front one.
+    if (!branches_.empty())
+      horizon = cyc_min(horizon, branches_.front().resolve_at);
+  }
 }
 
 void Core::step(Cycle now) {
@@ -747,6 +790,7 @@ void Core::step(Cycle now) {
   // phases (run, schedule, verify) and the genuinely slow coherence miss
   // path keep dedicated scopes.
   issue(now);
+  run_ahead();
 
   if (halted_) {
     // HALT issues only once no branch is pending, so resolve_branches above
@@ -758,10 +802,9 @@ void Core::step(Cycle now) {
     finish(sb_dirty_ ? now + 1 : kNeverCycle);
   } else if (parked_) {
     finish(park_wake_);
-  } else if (stall_until_ > now) {
-    finish(stall_until_);
   } else {
-    finish(last_step_ + 1);  // now + 1, or the cycle after a NOP run
+    // The cycle the last issue stalled to, or the one after it.
+    finish(cyc_max(stall_until_, last_step_ + 1));
   }
 }
 

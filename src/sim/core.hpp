@@ -40,6 +40,17 @@
 //              still drain around it (one-way barrier), but successive
 //              STLRs chain, which is what makes its cost high and
 //              occupancy-dependent (Observation 3).
+//
+// Stepping (DESIGN.md §14): the machine steps a core only where its step
+// can change something another core could see. event_horizon() is the
+// first cycle at which anything outside the core's private state can
+// change what it does: the next store-buffer event, the front branch
+// resolving, or the cycle cap. A store behind an unresolved DMB st gate
+// sleeps to that horizon, and after a step's first issue the core-local
+// instructions that follow (NOP, ALU, jump, conditional branch) issue ahead
+// of the sweep up to it. With a tracer attached a core issues one
+// instruction per step and retries a gated store every cycle: the
+// per-cycle reference the untraced paths must match exactly.
 #pragma once
 
 #include <cstdint>
@@ -136,8 +147,8 @@ class Core {
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
   void set_histograms(RunHistograms* h) { hist_ = h; }
-  /// First cycle the run loop will not reach (max_cycles + 1): a NOP run
-  /// never retires past it.
+  /// First cycle the run loop will not reach (max_cycles + 1): a
+  /// core-local run never issues past it.
   void set_run_end(Cycle end) { run_end_ = end; }
 
   // ---- the stepping interface (ISSUE 7) ----
@@ -145,9 +156,10 @@ class Core {
   // calls per cycle lives here, and nothing else about a core's execution
   // is reachable from outside: the contract is exactly step / attention /
   // idle / invalidate.
-  /// Advance the core at cycle `now`. Issues one instruction (or a whole
-  /// NOP run, see issue()) and pumps the store buffer when it can act.
-  /// Updates next_attention().
+  /// Advance the core at cycle `now`. Pumps the store buffer when it can
+  /// act, issues one instruction, then every core-local instruction that
+  /// issues before the event horizon (see run_ahead()). Updates
+  /// next_attention().
   void step(Cycle now);
   /// Earliest cycle at which this core needs to be stepped again
   /// (kNeverCycle exactly when idle()).
@@ -214,6 +226,18 @@ class Core {
   void resolve_branches(Cycle now);
   bool check_blocking_barrier(Cycle now);
   void issue(Cycle now);
+  void run_ahead();
+  /// First cycle at which anything outside the core's private state can
+  /// change what it does: the next store-buffer event, the front branch
+  /// resolving, or the cycle cap. Valid only while the buffer is clean.
+  Cycle event_horizon() const {
+    Cycle h = sb_horizon_ < run_end_ ? sb_horizon_ : run_end_;
+    if (!branches_.empty() && branches_.front().resolve_at < h)
+      h = branches_.front().resolve_at;
+    return h;
+  }
+  /// End of a wait on an unresolved DMB st gate (see issue()).
+  Cycle store_gate_wait_end(Cycle now) const;
   void stall(Cycle now, Cycle until, StallCause cause);
   std::uint64_t read(Reg r) const { return r == XZR ? 0 : regs_[r]; }
   void write(Reg r, std::uint64_t v, Cycle ready_at);

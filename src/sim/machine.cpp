@@ -121,7 +121,8 @@ RunResult Machine::run(const RunConfig& cfg) {
   }
 
   RunResult res;
-  // The first cycle the loop below never steps: NOP runs stop short of it.
+  // The first cycle the loop below never steps: core-local runs stop short
+  // of it.
   const Cycle run_end =
       max_cycles == kNeverCycle ? kNeverCycle : max_cycles + 1;
   std::vector<CoreId> live;
@@ -172,7 +173,7 @@ RunResult Machine::run(const RunConfig& cfg) {
     // nest as children and subtract out of its self time.
     ARMBAR_PROF_SCOPE(kSimSchedule);
     while (true) {
-      // The lower of the next-cycle lane and the lazy heap's valid top:
+      // The lower of the wheel's first lane and the lazy heap's valid top:
       // O(log n) amortized instead of a full scan per iteration.
       const Cycle next = sched_.min();
       if (next == kNeverCycle) {
@@ -184,7 +185,10 @@ RunResult Machine::run(const RunConfig& cfg) {
         res.completed = true;
         break;
       }
-      now = std::max(now, next);
+      // A verify tick is a loop event of its own, so the checks land on the
+      // cadence's cycles however far apart the steps are; a sweep with no
+      // core due changes nothing.
+      now = std::max(now, std::min(next, next_verify));
       if (now > max_cycles) {
         res.completed = false;
         break;
@@ -214,7 +218,7 @@ RunResult Machine::run(const RunConfig& cfg) {
               verifier.diagnose("invariant_violation", v, now));
         next_verify = now + verify_every;
       }
-      if (watchdog != 0 && now - progress_cycle >= watchdog) {
+      if (watchdog != 0 && now >= progress_cycle + watchdog) {
         const std::uint64_t sig = progress_signature();
         if (sig == progress_sig)
           throw SimHang(verifier.diagnose(
@@ -223,7 +227,12 @@ RunResult Machine::run(const RunConfig& cfg) {
                           std::to_string(now - progress_cycle) + " cycles",
               now));
         progress_sig = sig;
+        // A core that ran ahead issued through its last_step_: the window
+        // starts there, or a run longer than the window that ends in a
+        // stall would read as a hang.
         progress_cycle = now;
+        for (const CoreId c : live)
+          progress_cycle = std::max(progress_cycle, cores_[c]->last_step_);
       }
     }
   }

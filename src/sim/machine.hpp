@@ -111,8 +111,15 @@ class Machine {
   /// Test seam for the invariant checker: point core `c`'s scheduler slot at
   /// `at` without touching the core, as a wake the invalidate hook failed
   /// to mirror would leave it, so tests can prove the MachineVerifier
-  /// catches it. Never called by the simulator.
-  void debug_set_attention(CoreId c, Cycle at) { sched_.set(c, at); }
+  /// catches it. With `refile` false only the slot is overwritten and the
+  /// core stays filed under its old one, as a write that bypassed the
+  /// scheduler would leave it. Never called by the simulator.
+  void debug_set_attention(CoreId c, Cycle at, bool refile = true) {
+    if (refile)
+      sched_.set(c, at);
+    else
+      sched_.debug_overwrite_slot(c, at);
+  }
 
   /// Final-state extraction (differential fuzzing, ISSUE 4): read the listed
   /// (core, register) slots followed by the 8-byte words at the listed
@@ -129,7 +136,7 @@ class Machine {
   std::unique_ptr<MemorySystem> mem_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<bool> active_;
-  AttentionQueue sched_;  ///< next-attention slots, lane + lazy min-heap
+  AttentionQueue sched_;  ///< next-attention slots, wheel + lazy min-heap
   /// The cycle run() is sweeping, and the cores the invalidate hook pulled
   /// to it during the current step (bit c = core c).
   Cycle sweep_at_ = 0;

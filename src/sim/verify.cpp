@@ -1,5 +1,6 @@
 #include "sim/verify.hpp"
 
+#include <bit>
 #include <sstream>
 
 #include "sim/machine.hpp"
@@ -192,19 +193,33 @@ std::string MachineVerifier::check_core(const Core& core, Cycle now) const {
 
 std::string MachineVerifier::check_sched() const {
   const AttentionQueue& q = m_.sched_;
+  // The wheel each lane should hold: every core whose slot is in the window.
+  std::uint64_t want[AttentionQueue::kLanes] = {};
   for (CoreId c = 0; c < m_.num_cores(); ++c) {
     const Cycle slot = q.at(c);
-    const auto where = [&] { return "core " + std::to_string(c) + ": "; };
     // A core without a program keeps next_attention() 0 and is never set.
     if (const Cycle na = m_.cores_[c]->next_attention();
         m_.active_[c] && slot != na)
-      return where() + "scheduler slot " + cycle_str(slot) +
-             " but next attention " + cycle_str(na);
-    const bool in_lane = ((q.lane() >> c) & 1) != 0;
-    if (in_lane != (slot == q.lane_at()))
-      return where() + (in_lane ? "in" : "missing from") +
-             " the next-cycle lane at " + cycle_str(q.lane_at()) +
-             " with scheduler slot " + cycle_str(slot);
+      return "core " + std::to_string(c) + ": scheduler slot " +
+             cycle_str(slot) + " but next attention " + cycle_str(na);
+    if (q.in_window(slot))
+      want[slot % AttentionQueue::kLanes] |= std::uint64_t{1} << c;
+  }
+  for (std::uint32_t i = 0; i < AttentionQueue::kLanes; ++i) {
+    if (const std::uint64_t wrong = q.lane(i) ^ want[i]; wrong != 0) {
+      const auto c = static_cast<CoreId>(std::countr_zero(wrong));
+      const Cycle lo = q.window_lo();
+      return "core " + std::to_string(c) + ": " +
+             ((q.lane(i) >> c & 1) != 0 ? "in" : "missing from") +
+             " scheduler wheel lane " + std::to_string(i) + " (window [" +
+             std::to_string(lo) + ", " +
+             std::to_string(lo + AttentionQueue::kWindow) +
+             ")) with scheduler slot " + cycle_str(q.at(c));
+    }
+    if (((q.occupied() >> i & 1) != 0) != (q.lane(i) != 0))
+      return "scheduler wheel lane " + std::to_string(i) + " holds " +
+             hex(q.lane(i)) + " but its occupancy bit is " +
+             std::to_string(q.occupied() >> i & 1);
   }
   return {};
 }

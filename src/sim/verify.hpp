@@ -28,9 +28,11 @@
 //      last pump) and whose cached event horizon lies ahead of the sweep
 //      cycle caches exactly the horizon a rescan of the buffer reports.
 //   6. Scheduler: every program-bearing core's attention slot is its
-//      next_attention(), and the next-cycle lane holds exactly the cores
-//      whose slot is the lane cycle (a stale bit would step a core at a
-//      cycle its slot no longer names).
+//      next_attention(), and a core's wheel bit is set exactly when its
+//      slot lies in the wheel's window, in the lane of that slot, with the
+//      occupancy mask naming exactly the non-empty lanes (a stale bit would
+//      step a core at a cycle its slot no longer names, a missing one would
+//      never step it).
 //
 // The watchdog is separate from the verifier: it converts "no core retired
 // an instruction, drained a store or squashed for N cycles" into a typed

@@ -201,6 +201,10 @@ struct Parser {
         std::string key;
         if (!parse_string(key)) return false;
         if (!consume(':')) return fail("expected ':'");
+        // A repeated member would silently replace the first; writers
+        // never emit one, so it marks a corrupt document.
+        if (out.find(key) != nullptr)
+          return fail("duplicate key \"" + key + "\"");
         Json val;
         if (!parse_value(val)) return false;
         out.set(std::move(key), std::move(val));

@@ -1,15 +1,18 @@
 // Exactness of event-driven stepping: a core is stepped only at cycles
 // where its step can change something, and that must never move a
 // simulated value.
-//   * NOP runs: an untraced core retires a run of NOPs in one step; with a
-//     tracer attached NOPs issue one per step, so the traced run is the
+//   * Core-local runs and store-gate waits: an untraced core issues its
+//     NOPs, ALU ops, jumps and conditional branches ahead of the sweep up to
+//     its event horizon, and a store behind an unresolved DMB st gate sleeps
+//     to that horizon; with a tracer attached every instruction issues one
+//     per step and the gate is retried every cycle, so the traced run is the
 //     per-cycle reference.
 //   * Due sweep: only the cores due at a cycle are stepped, in id order,
 //     and a store's invalidation that wakes WFE-parked cores on both sides
 //     of the storer keeps the cycle counts the full walk over every live
 //     core produced.
-//   * Next-cycle lane: a wake the invalidate hook lands on the cycle after
-//     the sweep goes into the scheduler's lane, and a later, earlier wake
+//   * Scheduler wheel: a wake the invalidate hook lands on the cycle after
+//     the sweep goes into the scheduler's wheel, and a later, earlier wake
 //     takes the core back out; both keep the heap-only scheduler's values.
 #include <gtest/gtest.h>
 
@@ -94,6 +97,173 @@ Case cap_case() {
   return c;
 }
 
+// A store behind a DMB st gate whose watched drains are still outstanding,
+// while core 1 steals one watched line and shares the other, so the drains
+// wait on coherence transfers and the gate wait spans them.
+Case gate_steal_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X1, 7);
+  a.str(X1, X0, 0);
+  a.str(X1, X0, 64);
+  a.dmb_st();
+  a.str(X1, X0, 128);  // behind the gate, its drains outstanding
+  a.addi(X1, X1, 1);
+  a.str(X1, X0, 192);
+  a.halt();
+  Asm b;
+  b.movi(X0, kData).movi(X3, 9);
+  b.str(X3, X0, 0);
+  b.ldr(X4, X0, 64);
+  b.str(X3, X0, 64);
+  b.halt();
+  return {"gate_steal", {a.take("gated"), b.take("stealer")}};
+}
+
+// A DMB st behind a pending one: the second serializes on the first's
+// unresolved gate, then gates the store after it.
+Case dmb_st_chain_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X1, 7);
+  a.str(X1, X0, 0);
+  a.str(X1, X0, 64);
+  a.dmb_st();
+  a.dmb_st();          // behind the pending gate
+  a.str(X1, X0, 128);
+  a.halt();
+  return {"dmb_st_chain", {a.take("dmb-st-chain")}};
+}
+
+// A correctly predicted branch commits during an ALU run issued past it,
+// and a second one commits during a store's gate wait: the gate watches a
+// store whose drain waits for a missing load, so it resolves late.
+Case commit_in_run_and_gate_wait_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X5, 3);
+  a.ldr(X1, X0, 256);    // misses: the branch below resolves late
+  a.cbnz(X1, "skip");    // X1 == 0: not taken, predicted not taken
+  a.movi(X2, 0);
+  a.label("loop");       // the run: issued past the pending branch
+  a.addi(X2, X2, 1);
+  a.cmpi(X2, 100);
+  a.blt("loop");
+  a.ldr(X7, X0, 512);    // misses: the store below drains late
+  a.str(X7, X0, 0);
+  a.dmb_st();
+  a.ldr(X8, X0, 320);    // misses
+  a.cbnz(X8, "skip");    // commits while the store below waits
+  a.str(X5, X0, 64);     // behind the unresolved gate
+  a.label("skip");
+  a.halt();
+  return {"commit_in_run_and_gate_wait", {a.take("commit")}};
+}
+
+// As above, but both branches are mispredicted: the first squashes the ALU
+// run issued past it, the second squashes during the gate wait of a
+// wrong-path store.
+Case squash_in_run_and_gate_wait_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X5, 3);
+  a.ldr(X1, X0, 256);    // misses: the branch below resolves late
+  a.cbz(X1, "first");    // X1 == 0: taken, predicted not taken -> squash
+  a.movi(X2, 0);
+  a.label("loop");       // the wrong-path run
+  a.addi(X2, X2, 1);
+  a.cmpi(X2, 200);
+  a.blt("loop");
+  a.label("first");
+  a.ldr(X7, X0, 512);    // misses: the store below drains late
+  a.str(X7, X0, 0);
+  a.dmb_st();
+  a.ldr(X8, X0, 320);    // misses
+  a.cbz(X8, "second");   // mispredicted again
+  a.str(X5, X0, 64);     // wrong path, behind the unresolved gate
+  a.label("second");
+  a.movi(X6, 1);
+  a.halt();
+  return {"squash_in_run_and_gate_wait", {a.take("squash-gate")}};
+}
+
+// A run over ALU ops, a jump, an operand stall on a load result and a
+// resolved conditional branch, ending at a load, while a buffered store's
+// drain sets the horizon.
+Case alu_run_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X9, 5);
+  a.str(X9, X0, 448);
+  a.ldr(X1, X0, 0);      // misses: X1 is ready late
+  a.movi(X2, 3);
+  a.addi(X2, X2, 4);
+  a.b("next");
+  a.movi(X2, 99);        // jumped over
+  a.label("next");
+  a.add(X3, X1, X2);     // operand stall on the load result
+  a.cmpi(X3, 7);
+  a.bne("end");          // X3 == 7: not taken, resolved at issue
+  a.addi(X4, X3, 1);
+  a.ldr(X5, X0, 64);     // ends the run
+  a.addi(X6, X5, 2);
+  a.label("end");
+  a.halt();
+  return {"alu_run", {a.take("alu-run")}};
+}
+
+// ALU ops behind a blocking barrier and behind a WFE park: a run must not
+// issue them before the barrier completes or the park times out.
+Case barrier_and_park_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X1, 7);
+  a.str(X1, X0, 0);      // the DMB full waits for its drain
+  a.dmb_full();
+  a.addi(X2, X1, 1);     // held until the barrier completes
+  a.addi(X3, X2, 1);
+  a.wfe();               // no event pending: parks until the timeout
+  a.addi(X4, X3, 1);     // held until the park ends
+  a.addi(X5, X4, 1);
+  a.halt();
+  return {"barrier_and_park", {a.take("barrier-park")}};
+}
+
+// A RunConfig::max_cycles cap inside a store's gate wait.
+Case gate_wait_cap_case() {
+  Asm a;
+  a.movi(X0, kData).movi(X1, 5);
+  a.str(X1, X0, 0);
+  a.dmb_st();
+  a.str(X1, X0, 64);     // behind the gate until the first store drains
+  a.halt();
+  Case c{"gate_wait_cap", {a.take("gate-capped")}};
+  c.max_cycles = 30;
+  return c;
+}
+
+// A RunConfig::max_cycles cap inside an ALU run.
+Case run_cap_case() {
+  Asm a;
+  a.movi(X2, 0);
+  a.label("loop");
+  a.addi(X2, X2, 1);
+  a.cmpi(X2, 1000);
+  a.blt("loop");
+  a.halt();
+  Case c{"run_cap", {a.take("run-capped")}};
+  c.max_cycles = 517;
+  return c;
+}
+
+std::vector<Case> all_cases() {
+  return {drain_and_gate_case(),
+          squash_case(),
+          cap_case(),
+          gate_steal_case(),
+          dmb_st_chain_case(),
+          commit_in_run_and_gate_wait_case(),
+          squash_in_run_and_gate_wait_case(),
+          alu_run_case(),
+          barrier_and_park_case(),
+          gate_wait_cap_case(),
+          run_cap_case()};
+}
+
 /// Everything a run produces: RunResult (cycles, every CoreStats field,
 /// MemStats), the final registers of every core and the words the cases
 /// touch. Rendered as text so a mismatch reads as a diff.
@@ -140,7 +310,7 @@ std::string run_and_describe(const PlatformSpec& spec, const Case& c,
 
 TEST(NopRun, UntracedRunMatchesPerCycleIssueOnEveryPreset) {
   for (const PlatformSpec& spec : all_platforms()) {
-    for (const Case& c : {drain_and_gate_case(), squash_case(), cap_case()}) {
+    for (const Case& c : all_cases()) {
       SCOPED_TRACE(spec.name + std::string(" / ") + c.name);
       const std::string per_cycle = run_and_describe(spec, c, /*traced=*/true);
       EXPECT_EQ(run_and_describe(spec, c, /*traced=*/false), per_cycle);
@@ -172,6 +342,42 @@ TEST(NopRun, CasesReachTheStatesTheyAreNamedFor) {
   EXPECT_FALSE(cap.completed);
   EXPECT_EQ(cap.cycles, 517u);
   EXPECT_LT(cap.cores[0].instructions, 1000u);
+  // The gate waits happen, the branches commit or squash as named, the
+  // barrier and the park happen, and the caps truncate the runs inside a
+  // wait and inside a run.
+  const auto gate_stall = [](const RunResult& r) {
+    return r.cores[0].stall_cycles[static_cast<int>(StallCause::kStoreGate)];
+  };
+  const RunResult steal = run(gate_steal_case());
+  EXPECT_TRUE(steal.completed);
+  EXPECT_GT(gate_stall(steal), 0u);
+  EXPECT_EQ(steal.cores[0].sb_retired, 4u);
+  const RunResult chain = run(dmb_st_chain_case());
+  EXPECT_GT(gate_stall(chain), 0u);
+  EXPECT_EQ(chain.cores[0].barriers, 2u);
+  const RunResult commit = run(commit_in_run_and_gate_wait_case());
+  EXPECT_EQ(commit.cores[0].squashes, 0u);
+  EXPECT_GT(gate_stall(commit), 0u);
+  const RunResult squash2 = run(squash_in_run_and_gate_wait_case());
+  EXPECT_EQ(squash2.cores[0].squashes, 2u);
+  EXPECT_GT(gate_stall(squash2), 0u);
+  const RunResult alu = run(alu_run_case());
+  EXPECT_EQ(alu.cores[0].instructions, 14u);  // one movi jumped over
+  EXPECT_GT(alu.cores[0].stall_cycles[static_cast<int>(StallCause::kOperand)], 0u);
+  const RunResult held = run(barrier_and_park_case());
+  EXPECT_TRUE(held.completed);
+  EXPECT_EQ(held.cores[0].barriers, 1u);
+  EXPECT_EQ(held.cores[0].wfe_parks, 1u);
+  EXPECT_GT(held.cycles, spec.lat.wfe_timeout);
+  const RunResult gate_cap = run(gate_wait_cap_case());
+  EXPECT_FALSE(gate_cap.completed);
+  EXPECT_EQ(gate_cap.cycles, 30u);
+  EXPECT_EQ(gate_cap.cores[0].stores, 1u);
+  EXPECT_GT(gate_stall(gate_cap), 0u);
+  const RunResult run_cap = run(run_cap_case());
+  EXPECT_FALSE(run_cap.completed);
+  EXPECT_EQ(run_cap.cycles, 517u);
+  EXPECT_LT(run_cap.cores[0].instructions, 3000u);
 }
 
 /// Loads each line, then parks in WFE until the first line reads non-zero.

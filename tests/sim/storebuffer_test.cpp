@@ -98,6 +98,31 @@ TEST(StoreBuffer, CapacityStallDoesNotDeadlock) {
   EXPECT_EQ(m.mem().peek(0x1000 + 63 * 64), 63u);
 }
 
+TEST(StoreBuffer, FullBufferGatedOnABranchWaitsForItsResolve) {
+  // 25 stores speculated past one unresolved branch fill all 24 entries,
+  // and no drain may start before the branch commits, so the 25th store
+  // finds no buffer event to wait for: it must wait for the branch.
+  for (const PlatformSpec& spec : all_platforms()) {
+    SCOPED_TRACE(spec.name);
+    ASSERT_EQ(spec.lat.sb_entries, 24u);
+    Machine m(spec, 1u << 20);
+    Asm a;
+    a.movi(X0, 0x1000).movi(X1, 0x8000).movi(X2, 7);
+    a.ldr(X3, X1, 0);     // misses: the branch below resolves late
+    a.cbnz(X3, "end");    // X3 == 0: not taken, predicted not taken
+    for (int i = 0; i < 25; ++i) a.str(X2, X0, 64 * i);
+    a.label("end");
+    a.halt();
+    m.load_program(0, a.take("t"));
+    const RunResult r = m.run({});
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.cores[0].stores, 25u);
+    EXPECT_EQ(r.cores[0].sb_retired, 25u);
+    EXPECT_GT(r.cores[0].stall_cycles[static_cast<int>(StallCause::kSbFull)], 0u);
+    EXPECT_EQ(m.mem().peek(0x1000 + 24 * 64), 7u);
+  }
+}
+
 TEST(StoreBuffer, DataDependencyOrdersStoreAfterLoad) {
   // A store whose value depends on a load cannot drain before the load
   // completes: the final memory image must reflect the loaded value.

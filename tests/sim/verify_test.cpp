@@ -187,6 +187,29 @@ TEST(Verifier, StaleSchedulerSlotThrowsInvariantViolation) {
   }
 }
 
+TEST(Verifier, StaleWheelBitThrowsInvariantViolation) {
+  // A wheel bit left behind by a slot write that bypassed the scheduler:
+  // core 1 is filed for cycle 40 while its slot still names cycle 0, its
+  // real next attention. The run loop would step it at a cycle its slot
+  // no longer names; the slot half of the invariant cannot see it.
+  Machine m(rpi4(), 1u << 20);
+  m.load_program(0, counting_loop(100));
+  m.load_program(1, counting_loop(100));
+  m.debug_set_attention(1, 40);
+  m.debug_set_attention(1, 0, /*refile=*/false);
+  RunConfig cfg;
+  cfg.verify_every = 16;
+  try {
+    (void)m.run(cfg);
+    FAIL() << "stale wheel bit ran to completion";
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.diagnostic().summary,
+              "core 1: in scheduler wheel lane 40 (window [17, 80)) with "
+              "scheduler slot 0");
+    EXPECT_EQ(e.diagnostic().cycle, 16u);
+  }
+}
+
 TEST(Watchdog, LivelockedRunThrowsSimHangBeforeMaxCycles) {
   // A drain that is re-postponed with probability 1 never starts, so the
   // DSB below waits forever: live (schedulable) but not progressing.
@@ -234,6 +257,28 @@ TEST(Watchdog, SpinLoopIsProgressNotAHang) {
   auto r = m.run(cfg);  // must NOT throw
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.cycles, cfg.max_cycles);
+}
+
+TEST(Watchdog, LongRunAheadIsProgressNotAHang) {
+  // An untraced core issues a register-only loop ahead of the sweep in one
+  // step, about 45,000 cycles here. The cadence's ticks keep sampling the
+  // watchdog meanwhile; none of them may read the run as a window without
+  // progress.
+  Machine m(rpi4(), 1u << 20);
+  Asm a;
+  a.movi(X2, 0);
+  a.label("loop");
+  a.addi(X2, X2, 1);
+  a.cmpi(X2, 15'000);
+  a.blt("loop");
+  a.halt();
+  m.load_program(0, a.take("long-run"));
+  RunConfig cfg;
+  cfg.watchdog_cycles = 5'000;
+  cfg.verify_every = 16;
+  const RunResult r = m.run(cfg);  // must NOT throw
+  EXPECT_TRUE(r.completed);
+  EXPECT_GT(r.cycles, 9 * cfg.watchdog_cycles);
 }
 
 TEST(Watchdog, GlobalVerifyCadenceFallsThrough) {

@@ -43,6 +43,9 @@ TEST(Json, ParseErrors) {
   EXPECT_FALSE(err.empty());
   Json::parse("\"unterminated", &err);
   EXPECT_FALSE(err.empty());
+  // A repeated member is an error naming the key, at any depth.
+  EXPECT_TRUE(Json::parse(R"({"a": {"k": 1, "k": 2}})", &err).is_null());
+  EXPECT_NE(err.find("duplicate key \"k\""), std::string::npos) << err;
   // A good parse clears a previously set error string.
   Json::parse("7", &err);
   EXPECT_TRUE(err.empty());

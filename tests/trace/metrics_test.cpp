@@ -244,6 +244,14 @@ TEST(MetricsRegistryJson, MalformedDocumentsAreRejected) {
       {"sum": 1, "min": 1, "max": 1, "buckets": {"65": 1}}}})");
   rejects(R"({"counters": {}, "histograms": {"h": {"0":
       {"sum": 1, "min": 1, "max": 1, "buckets": {"1": 1}}}}})");
+  // A repeated counter fails the parse itself, naming the key, so no
+  // document reaches from_json with one of its values dropped.
+  std::string err;
+  const Json dup =
+      Json::parse(R"({"counters": {"c": 1, "c": 2}, "histograms": {}})", &err);
+  EXPECT_NE(err.find("duplicate key \"c\""), std::string::npos) << err;
+  EXPECT_FALSE(MetricsRegistry::from_json(dup, &out));
+  EXPECT_TRUE(out == before) << "a rejected document changed the registry";
 }
 
 }  // namespace
