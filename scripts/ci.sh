@@ -80,7 +80,9 @@
 #     the final verification (exit 1 = caught is the only pass);
 #   * an ASan+UBSan build running the full test suite — including the
 #     slow tier, so the equivalence sweep runs sanitized — plus a faulted
-#     armbar-bench smoke.
+#     armbar-bench smoke;
+#   * a ThreadSanitizer build of test_runner alone (the thread pool, the
+#     cache and the engine at --jobs > 1), where any report fails the stage.
 #
 #   $ scripts/ci.sh [build-dir]
 set -euo pipefail
@@ -597,5 +599,25 @@ ctest --test-dir "$ASAN_BUILD" --output-on-failure -j"$(nproc)"
 echo "== ASan+UBSan armbar-bench fault smoke =="
 "$ASAN_BUILD/bench/armbar-bench" --filter 'table1*' --jobs "$(nproc)" \
     --no-cache --fault-seed 3 > /dev/null
+
+echo "== ThreadSanitizer build (${BUILD}-tsan, test_runner only) =="
+TSAN_BUILD="${BUILD}-tsan"
+cmake -B "$TSAN_BUILD" -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread \
+    -DARMBAR_BUILD_BENCH=OFF -DARMBAR_BUILD_EXAMPLES=OFF > /dev/null
+cmake --build "$TSAN_BUILD" -j"$(nproc)" --target test_runner
+
+echo "== ThreadSanitizer test_runner (any report fails) =="
+# TSan exits 66 after a run with reports even when every test passed; the
+# grep also catches a report from a binary that exited early.
+TSAN_LOG="$TSAN_BUILD/test_runner.tsan.log"
+if ! "$TSAN_BUILD/tests/runner/test_runner" > "$TSAN_LOG" 2>&1 ||
+   grep -q 'WARNING: ThreadSanitizer' "$TSAN_LOG"; then
+  echo "FAIL: test_runner under ThreadSanitizer:" >&2
+  grep -A30 -m3 'WARNING: ThreadSanitizer\|FAILED' "$TSAN_LOG" >&2 ||
+    tail -30 "$TSAN_LOG" >&2
+  exit 1
+fi
+tail -1 "$TSAN_LOG"
 
 echo "CI OK"

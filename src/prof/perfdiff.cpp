@@ -100,29 +100,14 @@ PerfDiff diff_reports(const trace::Json& base, const trace::Json& cur,
   d.comparable = true;
   d.rel_ratio = d.cur_rel / d.base_rel;
 
-  const std::map<std::string, double> bs = phase_shares(base);
-  const std::map<std::string, double> cs = phase_shares(cur);
-  for (const auto& [name, share] : bs) {
-    PhaseVerdict v;
-    v.phase = name;
-    v.base_share_pct = share;
-    if (auto it = cs.find(name); it != cs.end()) {
-      v.cur_share_pct = it->second;
-      v.drift_pp = v.cur_share_pct - v.base_share_pct;
-      v.verdict = v.drift_pp > kPhaseDriftPp ? "regressed" : "ok";
-    } else {
-      v.verdict = "gone";
-    }
-    d.phases.push_back(std::move(v));
-  }
-  for (const auto& [name, share] : cs) {
-    if (bs.count(name) != 0) continue;
-    PhaseVerdict v;
-    v.phase = name;
-    v.cur_share_pct = share;
-    v.drift_pp = share;
-    v.verdict = "new";
-    d.phases.push_back(std::move(v));
+  std::map<std::string, PhaseShare> rows;
+  for (const auto& [name, share] : phase_shares(base))
+    rows[name].base_share_pct = share;
+  for (const auto& [name, share] : phase_shares(cur))
+    rows[name].cur_share_pct = share;
+  for (auto& [name, row] : rows) {
+    row.phase = name;
+    d.phases.push_back(std::move(row));
   }
 
   // Per-preset normalized throughput: each "<preset>_{mp,deep}_ips" metric
@@ -183,15 +168,11 @@ std::string render(const PerfDiff& d, const PerfDiffOptions& opts) {
                 "ratio %.2fx  [gate >= %.2fx]\n",
                 d.base_rel, d.cur_rel, d.rel_ratio, opts.min_rel_ratio);
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\nphase            base%%   cur%%   drift   verdict "
-                "(advisory: regressed = drift > %.0fpp)\n",
-                kPhaseDriftPp);
-  out += buf;
-  for (const PhaseVerdict& v : d.phases) {
-    std::snprintf(buf, sizeof(buf), "%-16s %5.1f  %5.1f  %+6.1f   %s\n",
-                  v.phase.c_str(), v.base_share_pct, v.cur_share_pct,
-                  v.drift_pp, v.verdict.c_str());
+  out += "\nphase            base%   cur%   (share of self time, "
+         "information only)\n";
+  for (const PhaseShare& p : d.phases) {
+    std::snprintf(buf, sizeof(buf), "%-16s %5.1f  %5.1f\n", p.phase.c_str(),
+                  p.base_share_pct, p.cur_share_pct);
     out += buf;
   }
   if (!d.presets.empty()) {

@@ -1,15 +1,17 @@
-// Report differ behind tools/armbar-perf: compares the host_prof sections
-// (and the sim_perf self-relative throughput metric) of two
-// armbar.bench.report documents and renders per-phase regression verdicts.
+// Report differ behind tools/armbar-perf: compares the sim_perf
+// self-relative throughput metrics of two armbar.bench.report documents and
+// lists each host_prof phase's share of self time in both.
 //
 // The *gate* is machine-independent by construction: it compares
 // `ips_vs_null` — simulated-instructions/sec divided by a null-interpreter
 // loop's ops/sec, both measured in the same process — between baseline and
 // current. Host CPU speed cancels out of that ratio, so a committed
 // baseline from one machine meaningfully gates a CI run on another.
-// Per-phase time *shares* (self_ns / total self) are likewise
-// machine-relative; drifts beyond kPhaseDriftPp are reported, as advisory
-// output that never fails the gate.
+// Per-phase shares (self_ns / total self) are printed for information
+// only: a phase's share grows whenever another phase gets cheaper, and
+// hosts differ in how much faster each phase runs (memory-bound coherence
+// gains less from a fast core than the interpreter), so no verdict is
+// drawn from them.
 #pragma once
 
 #include <string>
@@ -18,13 +20,6 @@
 #include "trace/json.hpp"
 
 namespace armbar::prof {
-
-/// A phase whose share of total self time grew by more than this many
-/// percentage points gets a "regressed" verdict. A drift never exceeds the
-/// phase's current share, so a phase under this share never regresses:
-/// when the hot path shrinks, a negligible phase's share can multiply
-/// while its absolute cost is still noise.
-inline constexpr double kPhaseDriftPp = 15.0;
 
 struct PerfDiffOptions {
   /// Gate: current ips_vs_null must be >= this fraction of the baseline's.
@@ -38,12 +33,12 @@ struct PerfDiffOptions {
   double min_preset_ratio = 0.0;
 };
 
-struct PhaseVerdict {
+/// One phase's share of its report's total self time, in percent; 0 in
+/// the report that lacks the phase.
+struct PhaseShare {
   std::string phase;
   double base_share_pct = 0.0;
   double cur_share_pct = 0.0;
-  double drift_pp = 0.0;        ///< cur - base, percentage points
-  std::string verdict;          ///< "ok" | "regressed" | "new" | "gone"
 };
 
 /// One preset's normalized (null-relative) throughput comparison.
@@ -63,7 +58,7 @@ struct PerfDiff {
   double base_rel = 0.0;    ///< ips_vs_null metric (machine-independent)
   double cur_rel = 0.0;
   double rel_ratio = 0.0;   ///< cur_rel / base_rel
-  std::vector<PhaseVerdict> phases;
+  std::vector<PhaseShare> phases;  ///< every phase of either, by name
   /// Filled when min_preset_ratio > 0: one entry per baseline *_ips metric.
   std::vector<PresetRatio> presets;
   bool ok = false;          ///< gate verdict

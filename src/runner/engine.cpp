@@ -180,8 +180,7 @@ EngineResult Engine::run() {
     jobs = 1;
   }
   result.jobs = jobs;
-  std::unique_ptr<ThreadPool> pool;
-  if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs - 1);  // caller works
+  ThreadPool pool(jobs - 1);  // the caller works too
 
   ResultCache cache(opts_.cache_enabled ? opts_.cache_dir : "");
 
@@ -264,11 +263,13 @@ EngineResult Engine::run() {
         metrics = std::make_unique<trace::MetricsRegistry>();
         if (opts_.trace) tracer = std::make_unique<trace::Tracer>();
         ExperimentContext::Hooks hooks;
-        hooks.pool = pool.get();
-        hooks.cache = &cache;
+        hooks.pool = &pool;
+        // A repetition after the first must simulate: reading the first
+        // one's cache entries would compare the cached values with
+        // themselves.
+        hooks.cache = rep == 0 ? &cache : nullptr;
         hooks.tracer = tracer.get();
         hooks.metrics = report_metrics ? metrics.get() : nullptr;
-        hooks.jobs = jobs;
         if (opts_.timeout_ms > 0) {
           hooks.has_deadline = true;
           hooks.deadline = std::chrono::steady_clock::now() +

@@ -1,5 +1,5 @@
 // Experiment engine: resolves a filter against the registry, runs each
-// matched experiment with shared infrastructure (work-stealing pool,
+// matched experiment with shared infrastructure (thread pool,
 // content-addressed result cache, optional tracer), and assembles one
 // consolidated armbar.bench.report/v2 document.
 //

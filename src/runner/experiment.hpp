@@ -10,7 +10,7 @@
 //   }
 //
 // The body receives an ExperimentContext wired to the engine's shared
-// work-stealing pool and result cache:
+// thread pool and result cache:
 //   * ctx.map(n, fn)  — run fn(0..n-1) host-parallel, results returned in
 //     index order regardless of scheduling (deterministic sweep order);
 //   * ctx.cached(...) — content-addressed memoization of one sweep point;
@@ -96,14 +96,13 @@ class Registry {
 class ExperimentContext {
  public:
   struct Hooks {
-    ThreadPool* pool = nullptr;            // null => serial
+    ThreadPool* pool = nullptr;            // never null; size 0 => serial
     ResultCache* cache = nullptr;          // null => uncached
     trace::Tracer* tracer = nullptr;       // non-null only under --trace
     /// Non-null when the report wants metrics (--json, --trace): every
     /// instrumentable point's counters and histograms, computed or read
     /// from the cache, are merged into it.
     trace::MetricsRegistry* metrics = nullptr;
-    std::size_t jobs = 1;
     /// --timeout-ms: sweep points starting after this instant throw
     /// ExperimentTimeout. Checked at point granularity — a point already
     /// simulating is never torn down mid-machine (the watchdog bounds its
@@ -119,7 +118,6 @@ class ExperimentContext {
       : spec_(spec), hooks_(hooks) {}
 
   const ExperimentSpec& spec() const { return spec_; }
-  std::size_t jobs() const { return hooks_.jobs; }
 
   /// True once the engine latched SIGINT/SIGTERM. Long-running bodies that
   /// wait outside cached() — the shm service fleets supervise real child
@@ -172,18 +170,13 @@ class ExperimentContext {
 
   /// Run fn(0..n-1) on the engine pool and return the results in index
   /// order. fn must be thread-safe at --jobs > 1: compute only, no
-  /// printing; each call builds its own Machine. With jobs == 1 (or no
-  /// pool) the calls happen inline, in order, on this thread.
+  /// printing; each call builds its own Machine. At --jobs 1 the pool has
+  /// no workers and the calls happen in order on this thread.
   template <typename Fn>
   auto map(std::size_t n, Fn&& fn) -> std::vector<decltype(fn(std::size_t{}))> {
     using R = decltype(fn(std::size_t{}));
     std::vector<R> out(n);
-    if (hooks_.pool == nullptr || hooks_.jobs <= 1) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
-    } else {
-      hooks_.pool->parallel_for(
-          n, [&](std::size_t i) { out[i] = fn(i); });
-    }
+    hooks_.pool->parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
   }
 

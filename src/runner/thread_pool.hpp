@@ -1,22 +1,21 @@
-// Bounded work-stealing thread pool for host-parallel experiment sweeps.
-//
-// Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm)
-// and steals FIFO from a victim when empty, so one long sweep point left on
-// a queue migrates to an idle worker instead of serializing the tail.
-// Simulator runs are coarse (milliseconds to seconds each), so deques are
-// mutex-guarded — contention is negligible at this granularity and the
-// code stays obviously correct.
+// Thread pool for host-parallel experiment sweeps, which run a few coarse,
+// independent points one parallel_for at a time. parallel_for(n, fn)
+// publishes the index range [0, n); the workers take indices from its top
+// and the calling thread from its bottom until it is empty, so costly
+// points at either end start early. With no workers the caller runs
+// 0..n-1 in order: the serial path is a pool of size 0.
 //
 // Determinism contract: the pool schedules, it never reorders results —
-// parallel_for(n, fn) indexes every call, and callers write results into
-// slot i, so the output order is the input order no matter which worker
-// ran what when. Each fn(i) constructs its own Machine; nothing simulated
-// is shared across workers.
+// callers write the result of fn(i) into slot i, so the output order is
+// the input order whichever thread ran what. Each fn(i) constructs its own
+// Machine; nothing simulated is shared across threads.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -26,63 +25,43 @@ namespace armbar::runner {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (at least 1).
-  explicit ThreadPool(std::size_t threads);
+  /// Spawns `workers` threads; 0 is legal (the caller does all the work).
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool(const ThreadPool&) = delete;  // workers hold `this`
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Run fn(0..n-1), blocking until all calls finished. The calling thread
-  /// participates (steals work) instead of idling, so a pool of size J uses
-  /// J+1 threads of compute but never oversubscribes a J-sized --jobs
-  /// budget by more than the caller itself. Exceptions from fn propagate
-  /// (the first one thrown; remaining tasks still complete). If the pool is
-  /// shut down mid-call, queued-but-unstarted tasks are cancelled and the
-  /// call throws — a task exception always wins over the cancellation
-  /// error, and the waiter can never hang on never-to-run tasks.
+  /// Run fn(0..n-1) on the workers and the calling thread, blocking until
+  /// every call finished; n must be below 2^32. The caller takes indices in
+  /// increasing order, each worker in decreasing order. If fn throws, the
+  /// other indices still run and the first exception is rethrown here. One
+  /// call at a time: a parallel_for from inside fn throws std::logic_error.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Stop taking new tasks, join every worker, then cancel any tasks still
-  /// queued (waking their parallel_for waiters with an error instead of
-  /// leaving them blocked forever). Idempotent; the destructor calls it.
-  void shutdown();
-
-  /// Default worker count: every hardware thread.
+  /// Default --jobs: every hardware thread.
   static std::size_t hardware_jobs();
 
  private:
-  struct Job;
+  struct Range { std::uint32_t lo, hi; };  // indices not yet taken
+  static_assert(std::atomic<Range>::is_always_lock_free);
 
-  struct Task {
-    Job* job;
-    std::size_t index;
-  };
+  void worker_loop();
+  /// Take and run indices from the top (workers) or bottom (caller).
+  void drain(const std::function<void(std::size_t)>& fn, bool from_top);
 
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  bool pop_local(std::size_t worker, Task* out);
-  bool steal(std::size_t thief, Task* out);
-  bool is_shutdown();
-  static void run_task(const Task& t);
-  static void cancel_task(const Task& t);
-  /// Count one task of `job` as finished (run or cancelled); the last one
-  /// wakes the parallel_for waiter.
-  static void finish_task(Job& job);
-  void worker_loop(std::size_t id);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  bool shutdown_ = false;
-  std::size_t pending_ = 0;  // tasks queued but not yet taken (wake hint)
+  std::atomic<Range> range_{Range{0, 0}};
+  std::mutex mu_;
+  std::condition_variable wake_cv_;  // workers: a new call, or stop
+  std::condition_variable idle_cv_;  // caller: busy_ fell to 0
+  // Guarded by mu_:
+  const std::function<void(std::size_t)>* fn_ = nullptr;  // open call
+  std::uint64_t calls_ = 0;  // calls started
+  std::size_t busy_ = 0;     // workers inside the call in flight
+  std::exception_ptr err_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace armbar::runner

@@ -62,6 +62,18 @@ void body_delta_fails(ExperimentContext& ctx) {
   ctx.check(false, "this claim is false");
 }
 
+std::atomic<int> g_drift_calls{0};
+
+void body_epsilon_drifts(ExperimentContext& ctx) {
+  // One cached point whose computed value differs on every call: a
+  // nondeterministic experiment the --repeat audit must catch.
+  Fingerprint k = ExperimentContext::key();
+  k.mix("engine_test/drift");
+  ctx.cached(k, "drift", [] {
+    return trace::Json(static_cast<double>(g_drift_calls.fetch_add(1)));
+  });
+}
+
 void body_instrumented_pairs(ExperimentContext& ctx) {
   // Six cross-node Machine runs; each point's counters and histograms ride
   // in its cache entry.
@@ -95,6 +107,8 @@ Registry make_registry() {
   r.add({"delta_fails", "Test D", "fails a check", &body_delta_fails});
   r.add({"instrumented_pairs", "Test E", "cross-node Machine runs",
          &body_instrumented_pairs});
+  r.add({"epsilon_drifts", "Test F", "a different value every call",
+         &body_epsilon_drifts});
   return r;
 }
 
@@ -182,6 +196,26 @@ TEST(Engine, RepeatRunsBodyNTimesAndStaysDeterministic) {
   auto res = Engine(r, o).run();
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(g_beta_runs.load(), 3);
+}
+
+TEST(Engine, RepeatSimulatesEveryRepetitionWithTheCacheOn) {
+  // Repetitions after the first must not read the entries the first one
+  // stored, or the audit compares cached values with themselves.
+  Registry r = make_registry();
+  const std::string dir = ::testing::TempDir() + "armbar_engine_cache_drift";
+  std::filesystem::remove_all(dir);
+  EngineOptions o = base_opts();
+  o.filter = "epsilon_drifts";
+  o.repeat = 2;
+  o.cache_enabled = true;
+  o.cache_dir = dir;
+  g_drift_calls.store(0);
+  auto res = Engine(r, o).run();
+  ASSERT_EQ(res.outcomes.size(), 1u);
+  EXPECT_FALSE(res.outcomes[0].ok);
+  EXPECT_TRUE(res.outcomes[0].kind.empty());  // a failed check, no error
+  EXPECT_EQ(g_drift_calls.load(), 2);
+  EXPECT_EQ(res.cache_stats.hits, 0u);
 }
 
 TEST(Engine, ColdThenWarmCacheServesEveryPoint) {

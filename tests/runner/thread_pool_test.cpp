@@ -1,9 +1,13 @@
-// Work-stealing pool: results land in index order, exceptions propagate,
-// nothing is lost or run twice — including when shutdown races a job.
+// Thread pool: results land in index order, exceptions propagate, nothing
+// is lost or run twice, the caller takes indices bottom-up and the workers
+// top-down, and a pool of size 0 is the serial path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -19,9 +23,18 @@ TEST(ThreadPool, HardwareJobsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_jobs(), 1u);
 }
 
-TEST(ThreadPool, SpawnsAtLeastOneWorker) {
-  ThreadPool p(0);
-  EXPECT_GE(p.size(), 1u);
+TEST(ThreadPool, ZeroWorkersRunEveryIndexInOrderOnTheCaller) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), 0u);
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.parallel_for(50, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> want(50);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(order, want);
 }
 
 TEST(ThreadPool, ResultsInIndexOrder) {
@@ -69,78 +82,72 @@ TEST(ThreadPool, FirstExceptionPropagates) {
   EXPECT_EQ(ran.load(), 64u);
 }
 
-TEST(ThreadPoolShutdown, ParallelForOnShutDownPoolThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW(pool.parallel_for(8, [](std::size_t) {}), std::runtime_error);
-}
-
-TEST(ThreadPoolShutdown, ShutdownTwiceIsSafe) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  pool.shutdown();  // destructor will make it a third time
-}
-
-TEST(ThreadPoolShutdown, ExceptionAfterShutdownBeginsReachesTheWaiter) {
-  // The regression this guards: a task that throws after shutdown() has
-  // been called must still deliver its exception to the parallel_for
-  // waiter — not vanish, not hang the wait.
-  ThreadPool pool(2);
-  std::atomic<bool> task_started{false};
-  std::atomic<bool> shutdown_begun{false};
-
-  std::thread closer([&] {
-    while (!task_started.load()) std::this_thread::yield();
-    shutdown_begun.store(true);
-    pool.shutdown();
-  });
-
-  try {
-    pool.parallel_for(32, [&](std::size_t i) {
-      if (i == 0) {
-        task_started.store(true);
-        while (!shutdown_begun.load()) std::this_thread::yield();
-        throw std::runtime_error("boom after shutdown began");
-      }
-    });
-    FAIL() << "task exception was lost";
-  } catch (const std::runtime_error& e) {
-    // The task's own exception outranks the queued-tasks-cancelled error.
-    EXPECT_NE(std::string(e.what()).find("boom after shutdown"),
-              std::string::npos)
-        << e.what();
-  }
-  closer.join();
-}
-
-TEST(ThreadPoolShutdown, ShutdownRacingAJobNeverHangsOrDoublesWork) {
-  // Whatever the interleaving, parallel_for must return (value or error)
-  // and no index may execute twice. Repeat to cover several interleavings.
+TEST(ThreadPool, EachThreadTakesItsIndicesMonotonically) {
+  // Whatever the interleaving, the caller only ever takes the range's
+  // bottom and a worker its top, so the caller's indices increase and each
+  // worker's decrease.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
   for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(3);
+    std::mutex mu;
+    std::map<std::thread::id, std::vector<std::size_t>> taken;
     const std::size_t n = 64;
-    std::vector<std::atomic<int>> counts(n);
-    std::atomic<bool> returned{false};
-
-    std::thread runner([&] {
-      try {
-        pool.parallel_for(n, [&](std::size_t i) {
-          counts[i].fetch_add(1);
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-        });
-      } catch (const std::runtime_error&) {
-        // cancellation error is an acceptable outcome of the race
+    pool.parallel_for(n, [&](std::size_t i) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        taken[std::this_thread::get_id()].push_back(i);
       }
-      returned.store(true);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
     });
-
-    std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
-    pool.shutdown();
-    runner.join();
-    EXPECT_TRUE(returned.load());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_LE(counts[i].load(), 1) << "index " << i << " ran twice";
+    std::size_t total = 0;
+    for (const auto& [id, seq] : taken) {
+      total += seq.size();
+      for (std::size_t k = 1; k < seq.size(); ++k) {
+        if (id == caller)
+          EXPECT_LT(seq[k - 1], seq[k]) << "caller, round " << round;
+        else
+          EXPECT_GT(seq[k - 1], seq[k]) << "worker, round " << round;
+      }
+    }
+    EXPECT_EQ(total, n);
   }
+}
+
+TEST(ThreadPool, BackToBackSmallCallsNeverHangOrRunAnIndexTwice) {
+  // A worker that wakes after its call has ended must neither run that
+  // call's fn nor take the next call's indices for it. Calls alternate
+  // between two live functions, each writing only the slots of the call it
+  // was passed to, so an index run by the wrong function or run twice
+  // shows as a count != 1.
+  ThreadPool pool(3);
+  const std::size_t calls = 10000;
+  std::vector<std::atomic<int>> hits(calls * 3);
+  std::size_t call_of[2] = {0, 0};
+  std::function<void(std::size_t)> fns[2];
+  for (std::size_t k = 0; k < 2; ++k)
+    fns[k] = [&, k](std::size_t i) { hits[call_of[k] * 3 + i].fetch_add(1); };
+  for (std::size_t c = 0; c < calls; ++c) {
+    call_of[c % 2] = c;
+    pool.parallel_for(1 + c % 3, fns[c % 2]);
+  }
+  for (std::size_t c = 0; c < calls; ++c)
+    for (std::size_t i = 0; i < 3; ++i)
+      ASSERT_EQ(hits[c * 3 + i].load(), i < 1 + c % 3 ? 1 : 0)
+          << "call " << c << " index " << i;
+}
+
+TEST(ThreadPool, NestedOrOversizedCallsThrow) {
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.parallel_for(std::size_t{1} << 32, [](std::size_t) {}),
+               std::length_error);
+  const auto nested = [&](std::size_t) {
+    pool.parallel_for(1, [](std::size_t) {});
+  };
+  EXPECT_THROW(pool.parallel_for(4, nested), std::logic_error);
+  // The pool still works afterwards.
+  std::atomic<int> ran{0};
+  pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, LargeFanOutSumsCorrectly) {

@@ -234,10 +234,8 @@ int main(int argc, char** argv) {
     armbar::prof::set_enabled(true);
   }
   const auto campaign_start = std::chrono::steady_clock::now();
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < results.size(); ++i) fuzz_one(i);
-  } else {
-    armbar::runner::ThreadPool pool(jobs);
+  {
+    armbar::runner::ThreadPool pool(jobs - 1);  // the caller works too
     pool.parallel_for(results.size(), fuzz_one);
   }
   const double campaign_s =

@@ -5,9 +5,9 @@
 // Compares the committed baseline report (first argument) against a fresh
 // run (second argument) on the machine-independent `ips_vs_null` ratio —
 // simulated-instructions/sec over a null-interpreter loop measured in the
-// same process — and reports per-phase self-time share drifts from the two
-// host_prof sections. Host CPU speed cancels out of both, so a baseline
-// from one machine gates CI runs on another.
+// same process. Host CPU speed cancels out of that ratio, so a baseline
+// from one machine gates CI runs on another. Each host_prof phase's share
+// of self time in both reports is listed for information only.
 //
 // Exit 0 when the gate passes, 1 on a regression (or incomparable
 // reports), 2 on bad usage / unreadable input.
