@@ -60,7 +60,11 @@
 #   * a bounded differential-fuzz smoke (armbar-fuzz, fixed seeds, plus
 #     seeds 351 and 437, which once deadlocked a halted core) that
 #     must find zero model/simulator mismatches and emit a valid
-#     armbar.bench.report/v2 with campaign/model throughput metrics,
+#     armbar.bench.report/v2 with campaign/model throughput metrics and
+#     (the 48-seed campaign runs with --profile) a host_prof section,
+#     summed over the pool's exited worker threads, that counts one
+#     fuzz.generate and one fuzz.diff scope per seed and as many sim.runs
+#     and model.executions as the report's sim_runs and model_candidates,
 #     followed by a planted-bug stage: a dropped-fence mutation must be
 #     caught, minimized, bundled, and the bundle must replay bit-exactly
 #     through armbar-repro;
@@ -413,7 +417,7 @@ FUZZ_DIR="$SMOKE_DIR/fuzz"
 rm -rf "$FUZZ_DIR" && mkdir -p "$FUZZ_DIR"
 # ~10 s: 48 fixed seeds across the full platform set with two chaos plans.
 "$BUILD/tools/armbar-fuzz" --seed-start 1 --seed-count 48 --chaos-seeds 2 \
-    --jobs "$(nproc)" --out-dir "$FUZZ_DIR" \
+    --jobs "$(nproc)" --out-dir "$FUZZ_DIR" --profile \
     --json "$FUZZ_DIR/armbar-fuzz.report.json"
 # Seeds 351 and 437 once aborted the process: a halted core lost the wake
 # for a store whose gating branch committed in HALT's own step.
@@ -434,8 +438,20 @@ m = doc["metrics"]
 assert m["failing_seeds"] == 0, m
 for k in ("campaign_runs_per_sec", "model_execs_per_sec", "model_check_ms"):
     assert m.get(k, 0) > 0, f"missing/zero throughput metric {k}"
+# The campaign's workers exit before the snapshot, so these counts hold
+# only if their parked tables are summed in.
+hp = doc["host_prof"]
+for phase in ("fuzz.generate", "fuzz.diff"):
+    got = hp["phases"][phase]["count"]
+    assert got == m["fuzz_seeds"], f"{phase} count {got} != {m['fuzz_seeds']} seeds"
+for counter, metric in (("sim.runs", "sim_runs"),
+                        ("model.executions", "model_candidates")):
+    got = hp["counters"][counter]
+    assert got == m[metric], f"counter {counter} {got} != metric {metric} {m[metric]}"
 print(f"fuzz report OK ({m['campaign_runs_per_sec']:.0f} runs/sec, "
-      f"{m['model_execs_per_sec']:.0f} model execs/sec)")
+      f"{m['model_execs_per_sec']:.0f} model execs/sec; host_prof over "
+      f"{hp['threads']} threads: {m['sim_runs']:.0f} sim.runs, "
+      f"{m['model_candidates']:.0f} model.executions)")
 EOF
 
 echo "== planted-bug stage (drop-dmb-full must be caught and replay) =="

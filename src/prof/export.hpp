@@ -1,12 +1,9 @@
-// Snapshot exporters: the `host_prof` report section, collapsed-stack
-// output for flamegraph tooling, and an aggregate Chrome trace.
+// The `host_prof` report section: a Snapshot rendered as JSON.
 //
-// Kept out of armbar_prof (the core registry) because they depend on
+// Kept out of armbar_prof (the core registry) because it depends on
 // trace::Json while armbar_trace itself links armbar_prof for the
 // kTraceEmit hook — this split is what keeps the layering acyclic.
 #pragma once
-
-#include <string>
 
 #include "prof/prof.hpp"
 #include "trace/json.hpp"
@@ -25,17 +22,5 @@ inline constexpr const char* kHostProfSchema = "armbar.host_prof/v1";
 ///     "sim_instructions": N,               // present when any sim ran
 ///     "sim_instructions_per_sec": ips }    //   ips = instrs / sim.run ns
 trace::Json host_prof_json(const Snapshot& s);
-
-/// Collapsed-stack text (one "phase;phase;phase <self_ns>" line per tree
-/// node with nonzero self time), consumable by standard flamegraph tools.
-std::string collapsed_stacks(const Snapshot& s);
-bool write_collapsed(const std::string& path, const Snapshot& s);
-
-/// Aggregate Chrome trace_event JSON: the merged calltree laid out as one
-/// synthetic timeline (children packed left-to-right inside their parent),
-/// viewable at https://ui.perfetto.dev. Durations are real; start offsets
-/// are synthetic (this is an aggregate profile, not an event log).
-std::string chrome_trace_json(const Snapshot& s);
-bool write_chrome(const std::string& path, const Snapshot& s);
 
 }  // namespace armbar::prof

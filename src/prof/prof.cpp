@@ -1,15 +1,14 @@
 #include "prof/prof.hpp"
 
 #include <chrono>
-#include <map>
 #include <mutex>
+#include <vector>
 
 namespace armbar::prof {
 
 const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kSimRun: return "sim.run";
-    case Phase::kSimSchedule: return "sim.schedule";
     case Phase::kSimCoherence: return "sim.coherence";
     case Phase::kSimVerify: return "sim.verify";
     case Phase::kTraceEmit: return "trace.emit";
@@ -32,10 +31,6 @@ const char* counter_name(Counter c) {
     case Counter::kSimRuns: return "sim.runs";
     case Counter::kSimCycles: return "sim.cycles";
     case Counter::kModelExecutions: return "model.executions";
-    case Counter::kCacheHits: return "cache.hits";
-    case Counter::kCacheMisses: return "cache.misses";
-    case Counter::kCacheStores: return "cache.stores";
-    case Counter::kCacheEvictions: return "cache.evictions";
   }
   return "?";
 }
@@ -56,47 +51,58 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One calltree node. First-child/next-sibling links instead of per-node
-/// maps: a node is 32 bytes and a child lookup is a short pointer chase
-/// over siblings (trees here have < a dozen distinct children per node).
-struct Node {
-  Phase phase{};
-  std::int32_t parent = -1;
-  std::int32_t child = -1;
-  std::int32_t sibling = -1;
-  std::uint64_t ticks = 0;
-  std::uint64_t count = 0;
+/// One thread's accumulation in raw ticks, per phase and per counter.
+struct Table {
+  std::array<std::uint64_t, kNumPhases> count{};
+  std::array<std::uint64_t, kNumPhases> total{};
+  std::array<std::uint64_t, kNumPhases> self{};
+  std::array<std::uint64_t, kNumCounters> counters{};
+
+  bool empty() const {
+    for (std::uint64_t n : count)
+      if (n != 0) return false;
+    for (std::uint64_t c : counters)
+      if (c != 0) return false;
+    return true;
+  }
 };
 
-/// Per-thread accumulation. Index 0 is the virtual root (phase unused).
+/// An open scope: its phase, its start tick, and the ticks of the scopes
+/// already closed inside it (subtracted from its self time).
+struct Frame {
+  Phase phase;
+  std::uint64_t start;
+  std::uint64_t nested;
+};
+
 struct ThreadState {
-  std::vector<Node> nodes;
-  std::array<std::uint64_t, kNumCounters> counters{};
-  std::int32_t cur = 0;
+  Table table;
+  /// A fixed array, not a vector: the hot path pays no capacity check. A
+  /// scope opened 16 deep is not recorded; no code path nests past four.
+  std::array<Frame, 16> stack;
+  std::uint32_t depth = 0;
+  std::array<std::uint32_t, kNumPhases> open{};  ///< open frames per phase
   std::uint64_t epoch = 0;
 
   void start_epoch(std::uint64_t e) {
     epoch = e;
-    nodes.clear();
-    nodes.push_back(Node{});
-    counters.fill(0);
-    cur = 0;
+    table = Table{};
+    depth = 0;
+    open.fill(0);
   }
 };
 
-/// Snapshot-relevant copy of a thread's state, parked when the thread
-/// exits so its samples survive it (pool workers may die before the
-/// engine snapshots).
-struct RetiredState {
-  std::vector<Node> nodes;
-  std::array<std::uint64_t, kNumCounters> counters{};
+/// A thread's table parked when the thread exits, so its samples survive
+/// it (pool workers may die before the engine snapshots).
+struct Retired {
+  Table table;
   std::uint64_t epoch = 0;
 };
 
 struct Global {
   std::mutex mu;
   std::vector<ThreadState*> threads;
-  std::vector<RetiredState> retired;
+  std::vector<Retired> retired;
   std::atomic<std::uint64_t> epoch{1};
   Clock::time_point session_start = Clock::now();
 };
@@ -124,14 +130,7 @@ struct ThreadStateHolder {
         break;
       }
     }
-    if (state.nodes.size() > 1 ||
-        state.counters != std::array<std::uint64_t, kNumCounters>{}) {
-      RetiredState r;
-      r.nodes = std::move(state.nodes);
-      r.counters = state.counters;
-      r.epoch = state.epoch;
-      G.retired.push_back(std::move(r));
-    }
+    if (!state.table.empty()) G.retired.push_back({state.table, state.epoch});
   }
 };
 
@@ -183,81 +182,38 @@ double ns_per_tick() {
   return v;
 }
 
-/// Merge tree: map-keyed children for deterministic (phase-ordered)
-/// flattening regardless of which thread created a node first.
-struct MergeNode {
-  std::map<Phase, std::size_t> kids;
-  std::uint64_t ticks = 0;
-  std::uint64_t count = 0;
-};
-
-void merge_tree(const std::vector<Node>& src, std::int32_t src_idx,
-                std::vector<MergeNode>& dst, std::size_t dst_idx) {
-  for (std::int32_t c = src[src_idx].child; c >= 0; c = src[c].sibling) {
-    auto [it, inserted] =
-        dst[dst_idx].kids.try_emplace(src[c].phase, dst.size());
-    if (inserted) dst.push_back(MergeNode{});
-    const std::size_t d = it->second;
-    dst[d].ticks += src[c].ticks;
-    dst[d].count += src[c].count;
-    merge_tree(src, c, dst, d);
-  }
-}
-
-/// Preorder flatten; fills total/count, self computed by the caller.
-void flatten(const std::vector<MergeNode>& m, std::size_t m_idx,
-             std::int32_t parent, double npt, Snapshot& s) {
-  for (const auto& [phase, kid] : m[m_idx].kids) {
-    SnapshotNode n;
-    n.phase = phase;
-    n.parent = parent;
-    n.count = m[kid].count;
-    n.total_ns =
-        static_cast<std::uint64_t>(static_cast<double>(m[kid].ticks) * npt);
-    const std::int32_t idx = static_cast<std::int32_t>(s.nodes.size());
-    s.nodes.push_back(n);
-    flatten(m, kid, idx, npt, s);
-  }
-}
-
 }  // namespace
 
 namespace detail {
 
-std::int32_t enter(Phase p, std::uint64_t* start_ticks) {
+std::int32_t enter(Phase p) {
   ThreadState& t = tls();
   sync_epoch(t);
-  std::int32_t c = t.nodes[t.cur].child;
-  while (c >= 0 && t.nodes[c].phase != p) c = t.nodes[c].sibling;
-  if (c < 0) {
-    c = static_cast<std::int32_t>(t.nodes.size());
-    t.nodes.push_back(
-        Node{p, t.cur, -1, t.nodes[t.cur].child, 0, 0});
-    t.nodes[t.cur].child = c;
-  }
-  t.cur = c;
-  *start_ticks = now_ticks();
-  return c;
+  if (t.depth == t.stack.size()) return -1;
+  ++t.open[static_cast<std::size_t>(p)];
+  t.stack[t.depth] = {p, now_ticks(), 0};
+  return static_cast<std::int32_t>(t.depth++);
 }
 
-void leave(std::int32_t idx, std::uint64_t start_ticks) {
+void leave(std::int32_t depth) {
   ThreadState& t = tls();
-  // A reset() between enter and leave cleared the tree; `cur` then no
-  // longer points at our node. Drop the sample — the new epoch must not
-  // inherit a half-open scope.
-  if (idx < 0 || static_cast<std::size_t>(idx) >= t.nodes.size() ||
-      t.cur != idx)
-    return;
-  Node& n = t.nodes[idx];
-  n.ticks += now_ticks() - start_ticks;
-  ++n.count;
-  t.cur = n.parent;
+  // A reset() between enter and leave cleared the stack, so this frame is
+  // no longer on top. Drop the sample — the new epoch must not inherit a
+  // half-open scope.
+  if (t.depth != static_cast<std::uint32_t>(depth) + 1) return;
+  const Frame& f = t.stack[t.depth - 1];
+  const std::uint64_t ticks = now_ticks() - f.start;
+  const auto i = static_cast<std::size_t>(f.phase);
+  ++t.table.count[i];
+  t.table.self[i] += ticks > f.nested ? ticks - f.nested : 0;
+  if (--t.open[i] == 0) t.table.total[i] += ticks;
+  if (--t.depth != 0) t.stack[t.depth - 1].nested += ticks;
 }
 
 void count_slow(Counter c, std::uint64_t delta) {
   ThreadState& t = tls();
   sync_epoch(t);
-  t.counters[static_cast<std::size_t>(c)] += delta;
+  t.table.counters[static_cast<std::size_t>(c)] += delta;
 }
 
 }  // namespace detail
@@ -285,51 +241,30 @@ Snapshot snapshot() {
                                                            G.session_start)
           .count());
 
-  std::vector<MergeNode> merged;
-  merged.push_back(MergeNode{});  // root
-  const auto contribute = [&](const std::vector<Node>& nodes,
-                              const std::array<std::uint64_t, kNumCounters>&
-                                  counters) {
-    bool any = nodes.size() > 1;
-    if (!nodes.empty()) merge_tree(nodes, 0, merged, 0);
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
-      s.counters[i] += counters[i];
-      any = any || counters[i] != 0;
+  Table sum;
+  const auto add = [&](const Table& t) {
+    if (t.empty()) return;
+    ++s.threads;
+    for (std::size_t i = 0; i < kNumPhases; ++i) {
+      sum.count[i] += t.count[i];
+      sum.total[i] += t.total[i];
+      sum.self[i] += t.self[i];
     }
-    if (any) ++s.threads;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+      sum.counters[i] += t.counters[i];
   };
   for (const ThreadState* t : G.threads)
-    if (t->epoch == e) contribute(t->nodes, t->counters);
-  for (const RetiredState& r : G.retired)
-    if (r.epoch == e) contribute(r.nodes, r.counters);
+    if (t->epoch == e) add(t->table);
+  for (const Retired& r : G.retired)
+    if (r.epoch == e) add(r.table);
 
   const double npt = ns_per_tick();
-  flatten(merged, 0, -1, npt, s);
-
-  // self = total minus child totals (clamped: timer jitter can make the
-  // children sum a hair past the parent).
-  std::vector<std::uint64_t> child_ns(s.nodes.size(), 0);
-  for (std::size_t i = 0; i < s.nodes.size(); ++i)
-    if (s.nodes[i].parent >= 0)
-      child_ns[static_cast<std::size_t>(s.nodes[i].parent)] +=
-          s.nodes[i].total_ns;
-  for (std::size_t i = 0; i < s.nodes.size(); ++i) {
-    SnapshotNode& n = s.nodes[i];
-    n.self_ns = n.total_ns > child_ns[i] ? n.total_ns - child_ns[i] : 0;
-    PhaseStats& p = s.phases[static_cast<std::size_t>(n.phase)];
-    p.count += n.count;
-    p.self_ns += n.self_ns;
-    // total counts topmost occurrences only: skip when an ancestor already
-    // carries this phase (re-entrant recursion would double-bill).
-    bool nested = false;
-    for (std::int32_t a = n.parent; a >= 0;
-         a = s.nodes[static_cast<std::size_t>(a)].parent)
-      if (s.nodes[static_cast<std::size_t>(a)].phase == n.phase) {
-        nested = true;
-        break;
-      }
-    if (!nested) p.total_ns += n.total_ns;
-  }
+  const auto ns = [npt](std::uint64_t ticks) {
+    return static_cast<std::uint64_t>(static_cast<double>(ticks) * npt);
+  };
+  for (std::size_t i = 0; i < kNumPhases; ++i)
+    s.phases[i] = {sum.count[i], ns(sum.total[i]), ns(sum.self[i])};
+  s.counters = sum.counters;
   return s;
 }
 

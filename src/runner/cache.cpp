@@ -63,7 +63,8 @@ std::optional<trace::Json> ResultCache::lookup(const std::string& key_hex,
                                                trace::MetricsRegistry* metrics) {
   if (!enabled()) return std::nullopt;
   // A fully cached run spends its time here; without this phase its
-  // --profile report would have counters but no phase to explain them.
+  // --profile report would have no host_prof section at all. The hit,
+  // miss, store and eviction counts are stats_, not profiler counters.
   ARMBAR_PROF_SCOPE(kCacheLookup);
   bool missing = false;
   // Read and parse outside the lock, so concurrent workers' lookups overlap
@@ -76,15 +77,10 @@ std::optional<trace::Json> ResultCache::lookup(const std::string& key_hex,
     // Absent, or a corrupt or stale entry (counted as an eviction); the
     // fresh result will overwrite it.
     ++stats_.misses;
-    ARMBAR_PROF_COUNT(kCacheMisses, 1);
-    if (!missing) {
-      ++stats_.evictions;
-      ARMBAR_PROF_COUNT(kCacheEvictions, 1);
-    }
+    if (!missing) ++stats_.evictions;
     return std::nullopt;
   }
   ++stats_.hits;
-  ARMBAR_PROF_COUNT(kCacheHits, 1);
   return value;
 }
 
@@ -103,7 +99,6 @@ void ResultCache::store(const std::string& key_hex, const std::string& desc,
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.stores;
-    ARMBAR_PROF_COUNT(kCacheStores, 1);
   }
   // Written outside the lock: two workers (or two processes sharing the
   // directory) storing one key each write their own temp file, and the

@@ -27,10 +27,6 @@ int cli_main(int argc, char** argv) {
                "per-experiment wall-clock budget; a run past it is recorded "
                "as failed/timeout (0 = unlimited)",
                0, 0, std::numeric_limits<std::int64_t>::max() / 2);
-  args.add_int("retries", "N",
-               "re-run a timed-out or errored experiment up to N times with "
-               "exponential backoff",
-               0, 0, 16);
   args.add_int("fault-seed", "SEED",
                "inject seeded timing faults (chaos plan) into every "
                "simulation; 0 = off",
@@ -51,13 +47,6 @@ int cli_main(int argc, char** argv) {
                 "enable the host-side self-profiler; adds a host_prof "
                 "section to --json reports (report-only: simulated results "
                 "and digests are unchanged)");
-  args.add_optional_value("profile-folded", "PATH",
-                          "with --profile: write collapsed stacks for "
-                          "flamegraph.pl (default path: <bench>.prof.folded)");
-  args.add_optional_value("profile-chrome", "PATH",
-                          "with --profile: write a Chrome trace_event JSON "
-                          "of the merged profile (default path: "
-                          "<bench>.prof.trace.json)");
 
   std::string err;
   if (!args.parse(argc, argv, &err)) {
@@ -71,15 +60,6 @@ int cli_main(int argc, char** argv) {
   if (!args.positionals().empty()) {
     std::fprintf(stderr, "%s: unexpected argument '%s' (see --help)\n",
                  prog.c_str(), args.positionals().front().c_str());
-    return 2;
-  }
-  // Parse-time profile validation: the export paths make no sense without
-  // the profiler on.
-  if (!args.given("profile") &&
-      (args.given("profile-folded") || args.given("profile-chrome"))) {
-    std::fprintf(stderr,
-                 "%s: --profile-folded/--profile-chrome require --profile\n",
-                 prog.c_str());
     return 2;
   }
 
@@ -96,7 +76,6 @@ int cli_main(int argc, char** argv) {
   opts.jobs = static_cast<std::size_t>(args.integer("jobs"));
   opts.repeat = static_cast<std::uint32_t>(args.integer("repeat"));
   opts.timeout_ms = args.integer("timeout-ms");
-  opts.retries = static_cast<std::uint32_t>(args.integer("retries"));
   if (const std::int64_t seed = args.integer("fault-seed"); seed != 0)
     opts.fault = sim::fault::FaultPlan::chaos(static_cast<std::uint64_t>(seed));
   opts.verify_every =
@@ -107,15 +86,6 @@ int cli_main(int argc, char** argv) {
   opts.trace = args.given("trace");
   opts.trace_path = args.str("trace");
   opts.profile = args.given("profile");
-  if (args.given("profile-folded")) {
-    opts.profile_folded = args.str("profile-folded");
-    if (opts.profile_folded.empty()) opts.profile_folded = prog + ".prof.folded";
-  }
-  if (args.given("profile-chrome")) {
-    opts.profile_chrome = args.str("profile-chrome");
-    if (opts.profile_chrome.empty())
-      opts.profile_chrome = prog + ".prof.trace.json";
-  }
 
   Engine engine(registry, opts);
   EngineResult result = engine.run();

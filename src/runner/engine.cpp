@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -79,7 +78,7 @@ class DegradationScope {
   void (*prev_sigterm_)(int) = SIG_ERR;
 };
 
-/// One attempt's abnormal-termination record (empty kind = clean).
+/// An experiment's abnormal-termination record (empty kind = clean).
 struct Failure {
   std::string kind;
   std::string reason;
@@ -131,8 +130,7 @@ void print_host_profile(const prof::Snapshot& snap) {
                   prof::counter_name(static_cast<prof::Counter>(i)),
                   static_cast<unsigned long long>(snap.counters[i]));
   const std::uint64_t instrs = snap.counter(prof::Counter::kSimInstructions);
-  std::uint64_t sim_ns = snap.phase(prof::Phase::kSimRun).total_ns;
-  if (sim_ns == 0) sim_ns = snap.wall_ns;
+  const std::uint64_t sim_ns = snap.phase(prof::Phase::kSimRun).total_ns;
   if (instrs > 0 && sim_ns > 0)
     std::printf("  sim throughput   %.2f M instr/s (host-side)\n",
                 static_cast<double>(instrs) * 1e3 /
@@ -224,7 +222,6 @@ EngineResult Engine::run() {
       out.status = "skipped";
       out.kind = "skipped";
       out.reason = "not started: run interrupted";
-      out.attempts = 0;
       all_ok = false;
       const std::string kp = single ? "" : spec->name + "/";
       report.add_param(kp + "status", out.status);
@@ -240,91 +237,65 @@ EngineResult Engine::run() {
     bool deterministic = true;
     bool aborted = false;
     Failure failure;
-    std::uint32_t attempts = 0;
+    std::uint64_t first_digest = 0;
 
     const auto t0 = std::chrono::steady_clock::now();
     const std::uint32_t reps = opts_.repeat == 0 ? 1 : opts_.repeat;
-    for (std::uint32_t attempt = 0; attempt <= opts_.retries; ++attempt) {
-      if (attempt > 0) {
-        // Exponential backoff: 50ms, 100ms, 200ms, ... Lets transient host
-        // pressure (the usual cause of a timeout) clear before retrying.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50)
-                                    * (1u << (attempt - 1)));
-        std::printf("\n-- retry %u/%u: %s (%s) --\n", attempt, opts_.retries,
-                    spec->name.c_str(), failure.kind.c_str());
+    for (std::uint32_t rep = 0; rep < reps; ++rep) {
+      metrics = std::make_unique<trace::MetricsRegistry>();
+      if (opts_.trace) tracer = std::make_unique<trace::Tracer>();
+      ExperimentContext::Hooks hooks;
+      hooks.pool = &pool;
+      // A repetition after the first must simulate: reading the first
+      // one's cache entries would compare the cached values with
+      // themselves.
+      hooks.cache = rep == 0 ? &cache : nullptr;
+      hooks.tracer = tracer.get();
+      hooks.metrics = report_metrics ? metrics.get() : nullptr;
+      if (opts_.timeout_ms > 0) {
+        hooks.has_deadline = true;
+        hooks.deadline = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(opts_.timeout_ms);
       }
-      ++attempts;
-      failure = Failure{};
-      aborted = false;
-      deterministic = true;
-      std::uint64_t first_digest = 0;
+      hooks.interrupted = &g_interrupted;
+      ctx = std::make_unique<ExperimentContext>(*spec, hooks);
 
-      for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        metrics = std::make_unique<trace::MetricsRegistry>();
-        if (opts_.trace) tracer = std::make_unique<trace::Tracer>();
-        ExperimentContext::Hooks hooks;
-        hooks.pool = &pool;
-        // A repetition after the first must simulate: reading the first
-        // one's cache entries would compare the cached values with
-        // themselves.
-        hooks.cache = rep == 0 ? &cache : nullptr;
-        hooks.tracer = tracer.get();
-        hooks.metrics = report_metrics ? metrics.get() : nullptr;
-        if (opts_.timeout_ms > 0) {
-          hooks.has_deadline = true;
-          hooks.deadline = std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(opts_.timeout_ms);
-        }
-        hooks.interrupted = &g_interrupted;
-        ctx = std::make_unique<ExperimentContext>(*spec, hooks);
-
-        if (rep > 0)
-          std::printf("\n-- repetition %u/%u: %s --\n", rep + 1, reps,
-                      spec->name.c_str());
-        try {
-          spec->body(*ctx);
-        } catch (const ExperimentAbort& e) {
-          aborted = true;  // ctx.fatal() already recorded the failed check
-          // An abort classified via note_failure_kind() (e.g. the lock
-          // verifier's "lock_invariant") also gets a quarantine entry, so
-          // the report carries its repro bundle and quarantine params.
-          if (const std::string kind = ctx->failure_kind(); !kind.empty())
-            failure = {kind, e.reason, trace::Json()};
-        } catch (const ExperimentTimeout& e) {
-          failure = {"timeout", e.reason, trace::Json()};
-        } catch (const ExperimentInterrupted&) {
-          failure = {"interrupted",
-                     std::string("run interrupted (") +
-                         interrupt_name(g_interrupted) + ")",
-                     trace::Json()};
-        } catch (const sim::SimError& e) {
-          // SimHang / InvariantViolation: kind travels in the diagnostic.
-          failure = {e.diagnostic().kind, e.diagnostic().summary,
-                     e.diagnostic().to_json()};
-          std::printf("%s\n", e.diagnostic().str().c_str());
-        } catch (const CheckFailure& e) {
-          failure = {"check_failed", e.what(), trace::Json()};
-        } catch (const std::exception& e) {
-          failure = {"error", e.what(), trace::Json()};
-        } catch (...) {
-          failure = {"error", "unknown exception", trace::Json()};
-        }
-        if (aborted || !failure.kind.empty()) break;
-        if (rep == 0)
-          first_digest = ctx->points_digest();
-        else if (ctx->points_digest() != first_digest)
-          deterministic = false;
+      if (rep > 0)
+        std::printf("\n-- repetition %u/%u: %s --\n", rep + 1, reps,
+                    spec->name.c_str());
+      try {
+        spec->body(*ctx);
+      } catch (const ExperimentAbort& e) {
+        aborted = true;  // ctx.fatal() already recorded the failed check
+        // An abort classified via note_failure_kind() (e.g. the lock
+        // verifier's "lock_invariant") also gets a quarantine entry, so
+        // the report carries its repro bundle and quarantine params.
+        if (const std::string kind = ctx->failure_kind(); !kind.empty())
+          failure = {kind, e.reason, trace::Json()};
+      } catch (const ExperimentTimeout& e) {
+        failure = {"timeout", e.reason, trace::Json()};
+      } catch (const ExperimentInterrupted&) {
+        failure = {"interrupted",
+                   std::string("run interrupted (") +
+                       interrupt_name(g_interrupted) + ")",
+                   trace::Json()};
+      } catch (const sim::SimError& e) {
+        // SimHang / InvariantViolation: kind travels in the diagnostic.
+        failure = {e.diagnostic().kind, e.diagnostic().summary,
+                   e.diagnostic().to_json()};
+        std::printf("%s\n", e.diagnostic().str().c_str());
+      } catch (const CheckFailure& e) {
+        failure = {"check_failed", e.what(), trace::Json()};
+      } catch (const std::exception& e) {
+        failure = {"error", e.what(), trace::Json()};
+      } catch (...) {
+        failure = {"error", "unknown exception", trace::Json()};
       }
-
-      // Only a timeout or a generic error is plausibly transient. A hang,
-      // an invariant violation, a tripped check or an interrupt is
-      // deterministic (or deliberate) — retrying would just repeat it.
-      const bool retryable =
-          failure.kind == "timeout" || failure.kind == "error";
-      if (failure.kind.empty() || !retryable) break;
-      if (failure.kind != "interrupted")
-        std::printf("  experiment %s: %s (%s)\n", spec->name.c_str(),
-                    failure.kind.c_str(), failure.reason.c_str());
+      if (aborted || !failure.kind.empty()) break;
+      if (rep == 0)
+        first_digest = ctx->points_digest();
+      else if (ctx->points_digest() != first_digest)
+        deterministic = false;
     }
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
@@ -353,12 +324,10 @@ EngineResult Engine::run() {
     out.reason = failure.reason;
     out.diagnostic = failure.diagnostic;
     out.repro_bundle = ctx->repro_bundle();
-    out.attempts = attempts;
     all_ok = all_ok && out.ok;
     if (!failure.kind.empty())
-      std::printf("\n  experiment %s FAILED: %s (%s, %u attempt%s)\n",
-                  spec->name.c_str(), failure.kind.c_str(),
-                  failure.reason.c_str(), attempts, attempts == 1 ? "" : "s");
+      std::printf("\n  experiment %s FAILED: %s (%s)\n", spec->name.c_str(),
+                  failure.kind.c_str(), failure.reason.c_str());
 
     // Fold this experiment into the consolidated report. Single-match runs
     // keep unprefixed keys.
@@ -443,17 +412,6 @@ EngineResult Engine::run() {
   if (snap.has_data()) {
     report.set_host_prof(prof::host_prof_json(snap));
     print_host_profile(snap);
-    if (!opts_.profile_folded.empty()) {
-      io_ok = prof::write_collapsed(opts_.profile_folded, snap) && io_ok;
-      std::printf("profile: %s (flamegraph.pl-compatible collapsed "
-                  "stacks)\n",
-                  opts_.profile_folded.c_str());
-    }
-    if (!opts_.profile_chrome.empty()) {
-      io_ok = prof::write_chrome(opts_.profile_chrome, snap) && io_ok;
-      std::printf("profile: %s (open in https://ui.perfetto.dev)\n",
-                  opts_.profile_chrome.c_str());
-    }
   }
 
   result.interrupted = g_interrupted != 0;

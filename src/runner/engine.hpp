@@ -37,9 +37,6 @@ struct EngineOptions {
   /// sweep-point granularity (a point mid-simulation finishes; the watchdog
   /// bounds that).
   std::int64_t timeout_ms = 0;
-  /// Re-run an experiment that timed out or threw up to N extra times with
-  /// exponential backoff before quarantining it.
-  std::uint32_t retries = 0;
   /// Fault-injection plan applied to every Machine::run in the process
   /// (--fault-seed installs FaultPlan::chaos). Disabled plan => clean run.
   sim::fault::FaultPlan fault{};
@@ -57,8 +54,6 @@ struct EngineOptions {
   /// reaches cache keys or points digests — simulated results are
   /// bit-identical with profiling on or off.
   bool profile = false;
-  std::string profile_folded;  ///< collapsed-stack (flamegraph) output path
-  std::string profile_chrome;  ///< chrome-trace output path (empty = none)
 };
 
 /// Per-experiment outcome, in run (= name) order.
@@ -69,7 +64,7 @@ struct ExperimentOutcome {
   std::uint64_t points = 0;   ///< cached() sweep points executed or hit
   std::uint64_t cache_hits = 0;
   std::uint64_t points_digest = 0;  ///< order-independent sweep fingerprint
-  double wall_ms = 0.0;       ///< across all repetitions and attempts
+  double wall_ms = 0.0;       ///< across all repetitions
   /// "ok", "failed", or "skipped" (never started: SIGINT arrived first).
   std::string status = "ok";
   /// Abnormal-termination class when status != "ok": "timeout", "hang",
@@ -79,7 +74,6 @@ struct ExperimentOutcome {
   std::string reason;         ///< human-readable failure description
   trace::Json diagnostic;     ///< SimDiagnostic bundle (null if none)
   std::string repro_bundle;   ///< armbar.repro/v1 path (empty if none)
-  std::uint32_t attempts = 1; ///< executions including retries
 };
 
 struct EngineResult {

@@ -786,9 +786,9 @@ void Core::step(Cycle now) {
   // own profiler scopes: at one instruction per call, two clock reads cost
   // more than the interpreter work they would measure (the ISSUE 6 budget
   // experiment showed the pair of per-call timers alone eating ~half the
-  // hot path). Their time reports under sim.schedule; only coarse-grained
-  // phases (run, schedule, verify) and the genuinely slow coherence miss
-  // path keep dedicated scopes.
+  // hot path). Their time reports as sim.run self time; only coarse-grained
+  // phases (run, verify) and the genuinely slow coherence miss path keep
+  // dedicated scopes.
   issue(now);
   run_ahead();
 

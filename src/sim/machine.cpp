@@ -166,74 +166,69 @@ RunResult Machine::run(const RunConfig& cfg) {
 
   Cycle now = 0;
   std::uint64_t steps = 0;
-  {
-    // One kSimSchedule scope for the whole loop (the PR-6 build re-entered
-    // it every iteration — ~25% of sim wall time was the scope's own clock
-    // reads). The phases entered inside it (kSimCoherence, kSimVerify)
-    // nest as children and subtract out of its self time.
-    ARMBAR_PROF_SCOPE(kSimSchedule);
-    while (true) {
-      // The lower of the wheel's first lane and the lazy heap's valid top:
-      // O(log n) amortized instead of a full scan per iteration.
-      const Cycle next = sched_.min();
-      if (next == kNeverCycle) {
-        // idle() <=> next_attention()==kNeverCycle after a step, so an empty
-        // queue means completion — but keep the deadlock diagnostic exact.
-        for (const CoreId c : live)
-          ARMBAR_CHECK_MSG(cores_[c]->idle(),
-                           "simulation deadlock: no core schedulable");
-        res.completed = true;
-        break;
-      }
-      // A verify tick is a loop event of its own, so the checks land on the
-      // cadence's cycles however far apart the steps are; a sweep with no
-      // core due changes nothing.
-      now = std::max(now, std::min(next, next_verify));
-      if (now > max_cycles) {
-        res.completed = false;
-        break;
-      }
-      // Step pass over the due cores only, in id order — NOT heap pop
-      // order: MemorySystem mutation order (hence simulated timing) must
-      // stay exactly that of a walk over every core. A step can pull another
-      // core's attention back to `now` (coherence invalidation waking a WFE
-      // parker): a later id joins this sweep, as an id-order walk would
-      // reach it; an earlier id keeps the heap entry the hook pushed and is
-      // stepped by the next pass at this same cycle.
-      sweep_at_ = now;
-      for (std::uint64_t due = sched_.take_due(now); due != 0;) {
-        const auto c = static_cast<CoreId>(std::countr_zero(due));
-        due &= due - 1;
-        woken_ = 0;
-        Core& core = *cores_[c];
-        core.step(now);
-        ++steps;
-        sched_.set(c, core.next_attention());
-        due |= woken_ & (~std::uint64_t{1} << c);
-      }
-      if (now >= next_verify) {
-        ARMBAR_PROF_SCOPE(kSimVerify);
-        if (std::string v = verifier.check(now); !v.empty())
-          throw InvariantViolation(
-              verifier.diagnose("invariant_violation", v, now));
-        next_verify = now + verify_every;
-      }
-      if (watchdog != 0 && now >= progress_cycle + watchdog) {
-        const std::uint64_t sig = progress_signature();
-        if (sig == progress_sig)
-          throw SimHang(verifier.diagnose(
-              "hang", "no instruction retired, store drained or branch "
-                      "squashed in " +
-                          std::to_string(now - progress_cycle) + " cycles",
-              now));
-        progress_sig = sig;
-        // A core that ran ahead issued through its last_step_: the window
-        // starts there, or a run longer than the window that ends in a
-        // stall would read as a hang.
-        progress_cycle = now;
-        for (const CoreId c : live)
-          progress_cycle = std::max(progress_cycle, cores_[c]->last_step_);
-      }
+  // No scope of its own: the loop's host time is sim.run's self time, and
+  // the sim.coherence and sim.verify scopes inside it subtract out of it.
+  while (true) {
+    // The lower of the wheel's first lane and the lazy heap's valid top:
+    // O(log n) amortized instead of a full scan per iteration.
+    const Cycle next = sched_.min();
+    if (next == kNeverCycle) {
+      // idle() <=> next_attention()==kNeverCycle after a step, so an empty
+      // queue means completion — but keep the deadlock diagnostic exact.
+      for (const CoreId c : live)
+        ARMBAR_CHECK_MSG(cores_[c]->idle(),
+                         "simulation deadlock: no core schedulable");
+      res.completed = true;
+      break;
+    }
+    // A verify tick is a loop event of its own, so the checks land on the
+    // cadence's cycles however far apart the steps are; a sweep with no
+    // core due changes nothing.
+    now = std::max(now, std::min(next, next_verify));
+    if (now > max_cycles) {
+      res.completed = false;
+      break;
+    }
+    // Step pass over the due cores only, in id order — NOT heap pop
+    // order: MemorySystem mutation order (hence simulated timing) must
+    // stay exactly that of a walk over every core. A step can pull another
+    // core's attention back to `now` (coherence invalidation waking a WFE
+    // parker): a later id joins this sweep, as an id-order walk would
+    // reach it; an earlier id keeps the heap entry the hook pushed and is
+    // stepped by the next pass at this same cycle.
+    sweep_at_ = now;
+    for (std::uint64_t due = sched_.take_due(now); due != 0;) {
+      const auto c = static_cast<CoreId>(std::countr_zero(due));
+      due &= due - 1;
+      woken_ = 0;
+      Core& core = *cores_[c];
+      core.step(now);
+      ++steps;
+      sched_.set(c, core.next_attention());
+      due |= woken_ & (~std::uint64_t{1} << c);
+    }
+    if (now >= next_verify) {
+      ARMBAR_PROF_SCOPE(kSimVerify);
+      if (std::string v = verifier.check(now); !v.empty())
+        throw InvariantViolation(
+            verifier.diagnose("invariant_violation", v, now));
+      next_verify = now + verify_every;
+    }
+    if (watchdog != 0 && now >= progress_cycle + watchdog) {
+      const std::uint64_t sig = progress_signature();
+      if (sig == progress_sig)
+        throw SimHang(verifier.diagnose(
+            "hang", "no instruction retired, store drained or branch "
+                    "squashed in " +
+                        std::to_string(now - progress_cycle) + " cycles",
+            now));
+      progress_sig = sig;
+      // A core that ran ahead issued through its last_step_: the window
+      // starts there, or a run longer than the window that ends in a
+      // stall would read as a hang.
+      progress_cycle = now;
+      for (const CoreId c : live)
+        progress_cycle = std::max(progress_cycle, cores_[c]->last_step_);
     }
   }
 

@@ -5,7 +5,7 @@
 // cores due at that cycle (stepped in core-id order — see machine.cpp for
 // why that order is load-bearing). The PR-6 loop recomputed the minimum
 // with a full scan over all cores every iteration; with mostly-idle or
-// far-future cores that scan dominated kSimSchedule.
+// far-future cores that scan dominated the run loop's host time.
 //
 // AttentionQueue keeps a dense per-core cycle array (the authoritative
 // slots — one cache line for typical core counts), a 64-cycle wheel for

@@ -1,6 +1,5 @@
-// Exporters and the report surface: host_prof JSON shape + validation
-// through ReportBuilder, collapsed-stack and chrome-trace formats, the
-// perfdiff gate, and the validator's rejection paths.
+// The report surface: host_prof JSON shape + validation through
+// ReportBuilder, the perfdiff gate, and the validator's rejection paths.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,7 +23,8 @@ void busy_us(std::int64_t us) {
   }
 }
 
-/// Record a small but real profile: sim.run{sim.schedule} + instruction count.
+/// Record a small but real profile: sim.run{sim.coherence} + instruction
+/// count.
 Snapshot recorded_snapshot() {
   set_enabled(false);
   reset();
@@ -33,7 +33,7 @@ Snapshot recorded_snapshot() {
     ARMBAR_PROF_SCOPE(kSimRun);
     busy_us(200);
     {
-      ARMBAR_PROF_SCOPE(kSimSchedule);
+      ARMBAR_PROF_SCOPE(kSimCoherence);
       busy_us(100);
     }
     ARMBAR_PROF_COUNT(kSimInstructions, 12345);
@@ -83,7 +83,7 @@ TEST(HostProfJson, ShapeAndValidation) {
   const Json* phases = hp.find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_NE(phases->find("sim.run"), nullptr);
-  ASSERT_NE(phases->find("sim.schedule"), nullptr);
+  ASSERT_NE(phases->find("sim.coherence"), nullptr);
   EXPECT_GT(phases->find("sim.run")->find("total_ns")->number(), 0.0);
   // 12345 instructions over a real sim.run scope: derived ips present, > 0.
   ASSERT_NE(hp.find("sim_instructions_per_sec"), nullptr);
@@ -94,25 +94,6 @@ TEST(HostProfJson, ShapeAndValidation) {
   std::string err;
   EXPECT_TRUE(trace::validate_bench_report(doc, &err)) << err;
   ASSERT_NE(doc.find("host_prof"), nullptr);
-}
-
-TEST(HostProfJson, CollapsedStacksFormat) {
-  const Snapshot snap = recorded_snapshot();
-  const std::string folded = collapsed_stacks(snap);
-  // flamegraph.pl lines: "path;path <self_ns>\n" — the nested phase shows
-  // up under its parent's path.
-  EXPECT_NE(folded.find("sim.run "), std::string::npos);
-  EXPECT_NE(folded.find("sim.run;sim.schedule "), std::string::npos);
-}
-
-TEST(HostProfJson, ChromeTraceParses) {
-  const Snapshot snap = recorded_snapshot();
-  std::string err;
-  const Json doc = Json::parse(chrome_trace_json(snap), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  const Json* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_GE(events->size(), 2u);  // both phases + metadata
 }
 
 TEST(PerfDiff, GatePassesAndFails) {

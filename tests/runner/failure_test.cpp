@@ -1,8 +1,7 @@
 // Engine graceful degradation (ISSUE 3): a failing experiment — throw,
 // tripped ARMBAR_CHECK, invariant violation, hang, timeout — is captured as
-// a quarantined "failed" outcome while the rest of the sweep completes; a
-// flaky experiment succeeds under --retries; SIGINT stops new work but
-// still yields a valid partial report.
+// a quarantined "failed" outcome while the rest of the sweep completes;
+// SIGINT stops new work but still yields a valid partial report.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +22,6 @@ namespace {
 
 using sim::fault::FaultPlan;
 
-std::atomic<int> g_flaky_attempts{0};
 std::atomic<int> g_good_runs{0};
 
 void body_good(ExperimentContext& ctx) {
@@ -39,12 +37,6 @@ void body_throws(ExperimentContext& ctx) {
 void body_trips_check(ExperimentContext&) {
   const int points = 0;
   ARMBAR_CHECK_MSG(points > 0, "experiment produced no points");
-}
-
-void body_flaky(ExperimentContext& ctx) {
-  if (g_flaky_attempts.fetch_add(1) == 0)
-    throw std::runtime_error("transient failure, first attempt only");
-  ctx.check(true, "flaky experiment eventually ran");
 }
 
 void body_slow(ExperimentContext& ctx) {
@@ -285,34 +277,6 @@ TEST(EngineFailure, TimeoutBoundsASlowExperiment) {
   EXPECT_TRUE(find_outcome(res, "z_good")->ok);
 }
 
-TEST(EngineFailure, RetriesRecoverAFlakyExperiment) {
-  Registry r;
-  r.add({"a_flaky", "F1", "fails once then passes", &body_flaky});
-  g_flaky_attempts.store(0);
-  EngineOptions o = base_opts();
-  o.retries = 2;
-  auto res = Engine(r, o).run();
-  EXPECT_TRUE(res.ok);
-  const ExperimentOutcome* out = find_outcome(res, "a_flaky");
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->status, "ok");
-  EXPECT_EQ(out->attempts, 2u);
-  EXPECT_EQ(g_flaky_attempts.load(), 2);
-  // A recovered experiment is not quarantined.
-  EXPECT_EQ(res.report.find("quarantine")->size(), 0u);
-}
-
-TEST(EngineFailure, NoRetryForDeterministicFailures) {
-  Registry r;
-  r.add({"a_check", "F1", "trips ARMBAR_CHECK", &body_trips_check});
-  EngineOptions o = base_opts();
-  o.retries = 3;
-  auto res = Engine(r, o).run();
-  const ExperimentOutcome* out = find_outcome(res, "a_check");
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->attempts, 1u) << "check_failed must not be retried";
-}
-
 TEST(EngineFailure, SigintFlushesPartialReportAndSkipsRest) {
   Registry r;
   r.add({"m_interrupts", "F1", "raises SIGINT mid-body", body_raises_sigint});
@@ -330,7 +294,6 @@ TEST(EngineFailure, SigintFlushesPartialReportAndSkipsRest) {
   const ExperimentOutcome* skipped = find_outcome(res, "z_good");
   ASSERT_NE(skipped, nullptr);
   EXPECT_EQ(skipped->status, "skipped");
-  EXPECT_EQ(skipped->attempts, 0u);
 
   // The partial report is still a valid schema document with both
   // experiments accounted for.

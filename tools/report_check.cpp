@@ -1,5 +1,5 @@
-// report_check — validate bench JSON reports against armbar.bench.report/v2
-// (v1 documents still validate).
+// report_check — validate bench JSON reports against armbar.bench.report/v2,
+// the only schema it accepts (a v1 document is rejected as unknown).
 //
 //   $ report_check report.json [more.json ...]
 //
